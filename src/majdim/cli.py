@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -340,6 +341,7 @@ def _cmd_sweep(args) -> int:
     summary = {
         "rows": len(rows),
         "unknown_rows": len(rows) - len(known),
+        "histogram": dict(sorted(Counter(r.dimension for r in known).items())),
         "dim_le2_all_transitive": all(r.transitive for r in known if r.dimension <= 2),
         "dim_le2_no_induced_two_path": all(
             not r.induced_two_path for r in known if r.dimension <= 2

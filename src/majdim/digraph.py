@@ -165,12 +165,15 @@ class CondensationResult:
 
 def condense(D: Digraph) -> CondensationResult:
     """Group homogeneous vertices and return the condensed digraph."""
-    outs = {v: D.out_neighbors(v) for v in range(D.n)}
-    ins = {v: D.in_neighbors(v) for v in range(D.n)}
+    outs: list[set[int]] = [set() for _ in range(D.n)]
+    ins: list[set[int]] = [set() for _ in range(D.n)]
+    for u, v in D.arcs:
+        outs[u].add(v)
+        ins[v].add(u)
     key_to_rep: dict[tuple[frozenset[int], frozenset[int]], int] = {}
     representative: dict[int, int] = {}
     for v in range(D.n):
-        key = (outs[v], ins[v])
+        key = (frozenset(outs[v]), frozenset(ins[v]))
         rep = key_to_rep.setdefault(key, v)
         representative[v] = rep
     reps = sorted(set(representative.values()))

@@ -14,9 +14,10 @@ Pruning, all of it completeness-preserving:
   required to be lexicographically nondecreasing; a partial assignment is
   cut as soon as a column pair is strictly decreasing on the assigned
   prefix.
-* forward checking - every unassigned vertex keeps a candidate mask that
-  is intersected with the relation mask of each newly placed vertex; an
-  empty mask prunes immediately.
+* forward checking - every unassigned vertex keeps its candidate vectors
+  as a bitset (a Python int, bit x for vector x), which is intersected
+  with the relation row of each newly placed vertex; an empty candidate
+  set prunes immediately.
 * three-dimensional no-shared-coordinate rule - in R^3, if x -> y -> z is
   an induced two-path then a realizer gives x, y (and y, z) no equal
   coordinate, so those pairs additionally intersect with a no-equal mask.
@@ -25,7 +26,9 @@ Pruning, all of it completeness-preserving:
   needs no separate rule here.)
 
 Budgets are node counts, not wall time, so runs are reproducible; running
-out of budget is a verdict, never an error.  All entry points are pure
+out of budget is a verdict, never an error.  A level whose space n^d holds
+more than _SPACE_SIZE_LIMIT vectors is not searched and gets the same
+budget-exceeded verdict after 0 nodes.  All entry points are pure
 functions and may be called concurrently.
 """
 
@@ -37,15 +40,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 from . import constructions
 from .digraph import Digraph, condense, is_acyclic_tournament
 from .realizer import Realizer, extend_dims, verify
 
 DEFAULT_BUDGET = 10_000_000
 
-_FULL_MATRIX_LIMIT = 4096  # above this, relation rows are computed on demand
 _SPACE_SIZE_LIMIT = 4_000_000
 
 
@@ -100,84 +100,77 @@ class DimensionResult:
 
 
 class _Space:
-    """All rank vectors in {1..nranks}^d with pairwise relation masks."""
+    """All rank vectors in {1..nranks}^d, with relation rows as bitsets.
+
+    A set of vectors is a Python int whose bit x stands for vectors[x], in
+    itertools.product order.  eq[i][r] and below[i][r] hold the vectors
+    whose coordinate i equals r or lies below r; every other mask is
+    combined from them.  A candidate's relation row is built on first use
+    and kept: at most one row per vector, 4 * N bits each for N vectors.
+    """
 
     def __init__(self, nranks: int, d: int):
         self.nranks = nranks
         self.d = d
         self.vectors = tuple(itertools.product(range(1, nranks + 1), repeat=d))
-        self.size = len(self.vectors)
-        if self.size > _SPACE_SIZE_LIMIT:
-            raise ValueError(
-                f"search space {nranks}^{d} is too large for exact search"
-            )
-        self.varr = np.array(self.vectors, dtype=np.int32).reshape(self.size, d)
-        self._sym_masks: dict[int, np.ndarray] = {}
-        self._margin_rows: dict[int, np.ndarray] = {}
-        self._neq_rows: dict[int, np.ndarray] = {}
-        self._row_cache_cap = max(64, 4_000_000 // max(self.size, 1))
-        self._margin = None
-        self._neq = None
-        if self.size <= _FULL_MATRIX_LIMIT:
-            self._build_full_matrices()
+        self.full = (1 << len(self.vectors)) - 1
+        # Coordinate i is constant on runs of nranks**(d-1-i) vectors, and
+        # the runs cycle through the ranks; `starts` has one bit per cycle.
+        self.eq: list[list[int]] = []
+        self.below: list[list[int]] = []
+        for i in range(d):
+            run = nranks ** (d - 1 - i)
+            starts = self.full // ((1 << run * nranks) - 1)
+            self.eq.append([0] + [starts * (((1 << run) - 1) << (r - 1) * run)
+                                  for r in range(1, nranks + 1)])
+            self.below.append([0] + [starts * ((1 << (r - 1) * run) - 1)
+                                     for r in range(1, nranks + 1)])
+        self._rows: dict[int, tuple[tuple[int, int, int], int]] = {}
+        self._sym_masks: dict[int, int] = {}
 
-    def _build_full_matrices(self) -> None:
-        N, d = self.size, self.d
-        margin = np.empty((N, N), dtype=np.int8)
-        neq = np.empty((N, N), dtype=bool)
-        step = max(1, (1 << 22) // max(N * max(d, 1), 1))
-        for start in range(0, N, step):
-            chunk = self.varr[start : start + step]
-            gt = (chunk[:, None, :] > self.varr[None, :, :]).sum(axis=2)
-            lt = (chunk[:, None, :] < self.varr[None, :, :]).sum(axis=2)
-            margin[start : start + step] = (gt - lt).astype(np.int8)
-            neq[start : start + step] = (gt + lt) == d
-        self._margin = margin
-        self._neq = neq
+    def row(self, c: int) -> tuple[tuple[int, int, int], int]:
+        """Relation row of vectors[c]: (signs, neq).
 
-    def _margin_row(self, c: int) -> np.ndarray:
-        """margin(vectors[c], vectors[x]) over all x."""
-        if self._margin is not None:
-            return self._margin[c]
-        row = self._margin_rows.get(c)
+        signs[s] is the set of x with sign(margin(vectors[x], vectors[c]))
+        == s, for s in (0, 1, -1); neq is the set of x sharing no
+        coordinate value with vectors[c].
+        """
+        row = self._rows.get(c)
         if row is None:
-            gt = (self.varr[c] > self.varr).sum(axis=1)
-            lt = (self.varr[c] < self.varr).sum(axis=1)
-            row = (gt - lt).astype(np.int8)
-            if len(self._margin_rows) >= self._row_cache_cap:
-                self._margin_rows.clear()
-            self._margin_rows[c] = row
+            # levels[k]: the x whose margin over the coordinates seen so
+            # far is k - i; each coordinate moves every x down, across or up.
+            levels = [self.full]
+            shared = 0
+            for i, r in enumerate(self.vectors[c]):
+                lt, eq = self.below[i][r], self.eq[i][r]
+                gt = self.full ^ lt ^ eq
+                shared |= eq
+                nxt = [0] * (len(levels) + 2)
+                for k, level in enumerate(levels):
+                    nxt[k] |= level & lt
+                    nxt[k + 1] |= level & eq
+                    nxt[k + 2] |= level & gt
+                levels = nxt
+            pos = neg = 0
+            for level in levels[self.d + 1 :]:
+                pos |= level
+            for level in levels[: self.d]:
+                neg |= level
+            row = (levels[self.d], pos, neg), self.full ^ shared
+            self._rows[c] = row
         return row
 
-    def sign_mask(self, c: int, s: int) -> np.ndarray:
-        """Mask of x with sign(margin(vectors[x], vectors[c])) == s."""
-        row = self._margin_row(c)
-        if s > 0:
-            return row < 0
-        if s < 0:
-            return row > 0
-        return row == 0
-
-    def neq_mask(self, c: int) -> np.ndarray:
-        """Mask of x sharing no coordinate value with vectors[c]."""
-        if self._neq is not None:
-            return self._neq[c]
-        row = self._neq_rows.get(c)
-        if row is None:
-            row = ~(self.varr == self.varr[c]).any(axis=1)
-            if len(self._neq_rows) >= self._row_cache_cap:
-                self._neq_rows.clear()
-            self._neq_rows[c] = row
-        return row
-
-    def sym_mask(self, pattern: int) -> np.ndarray:
-        """Mask of vectors x with x[i] <= x[i+1] for every still-tied pair i."""
+    def sym_mask(self, pattern: int) -> int:
+        """Set of vectors x with x[i] <= x[i+1] for every still-tied pair i."""
         mask = self._sym_masks.get(pattern)
         if mask is None:
-            mask = np.ones(self.size, dtype=bool)
+            mask = self.full
             for i in range(self.d - 1):
                 if pattern >> i & 1:
-                    mask &= self.varr[:, i] <= self.varr[:, i + 1]
+                    ordered = 0
+                    for r in range(1, self.nranks + 1):
+                        ordered |= self.eq[i][r] & ~self.below[i + 1][r]
+                    mask &= ordered
             self._sym_masks[pattern] = mask
         return mask
 
@@ -194,17 +187,26 @@ def _space_for(nranks: int, d: int) -> _Space:
     return _Space(nranks, d)
 
 
-def _no_equal_position_pairs(D: Digraph, pos: dict[int, int]) -> set[frozenset[int]]:
-    """Arc pairs of induced two-paths, as assignment-order position pairs."""
+def _bits(mask: int):
+    """Indices of the set bits of mask, from low to high."""
+    digits = bin(mask)[:1:-1]
+    x = digits.find("1")
+    while x >= 0:
+        yield x
+        x = digits.find("1", x + 1)
+
+
+def _no_equal_position_pairs(D: Digraph, pos: dict[int, int]) -> set[tuple[int, int]]:
+    """Arc pairs of induced two-paths, as sorted assignment-order position pairs."""
     out: dict[int, list[int]] = {}
     for u, v in D.arcs:
         out.setdefault(u, []).append(v)
-    pairs: set[frozenset[int]] = set()
+    pairs: set[tuple[int, int]] = set()
     for x, y in D.arcs:
         for z in out.get(y, ()):
             if z != x and not D.adjacent(x, z):
-                pairs.add(frozenset((pos[x], pos[y])))
-                pairs.add(frozenset((pos[y], pos[z])))
+                pairs.add(tuple(sorted((pos[x], pos[y]))))
+                pairs.add(tuple(sorted((pos[y], pos[z]))))
     return pairs
 
 
@@ -215,6 +217,8 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     n = D.n
     if n == 0:
         return SolveOutcome(Verdict.REALIZABLE, Realizer(d, {}), 0)
+    if n**d > _SPACE_SIZE_LIMIT:
+        return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
     degree = [0] * n
     for u, v in D.arcs:
@@ -233,26 +237,24 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     nodes = 0
     budget_hit = False
 
-    def descend(depth: int, doms: list[np.ndarray], pattern: int) -> bool:
+    def descend(depth: int, doms: list[int], pattern: int) -> bool:
         nonlocal nodes, budget_hit
-        candidates = doms[depth] & space.sym_mask(pattern)
-        for c in np.flatnonzero(candidates):
+        for c in _bits(doms[depth] & space.sym_mask(pattern)):
             if nodes >= budget:
                 budget_hit = True
                 return False
             nodes += 1
-            c = int(c)
             chosen[depth] = c
             if depth + 1 == n:
                 return True
+            signs, neq = space.row(c)
             new_doms = list(doms)
             dead = False
             for j in range(depth + 1, n):
-                mask = space.sign_mask(c, need[j][depth])
-                if frozenset((depth, j)) in noeq:
-                    mask = mask & space.neq_mask(c)
-                narrowed = new_doms[j] & mask
-                if not narrowed.any():
+                narrowed = new_doms[j] & signs[need[j][depth]]
+                if (depth, j) in noeq:
+                    narrowed &= neq
+                if not narrowed:
                     dead = True
                     break
                 new_doms[j] = narrowed
@@ -262,8 +264,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                 return False
         return False
 
-    all_vectors = np.ones(space.size, dtype=bool)
-    found = descend(0, [all_vectors] * n, (1 << max(d - 1, 0)) - 1)
+    found = descend(0, [space.full] * n, (1 << max(d - 1, 0)) - 1)
     if found:
         witness = Realizer(d, {order[i]: space.vectors[chosen[i]] for i in range(n)})
         if not verify(D, witness).valid:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -154,6 +155,15 @@ def test_dim_env_budget(capsys, tmp_path, monkeypatch):
     assert code == 1 and "unknown" in json.loads(out)
 
 
+def test_dim_beyond_search_space_limit_reports_bounds(capsys, tmp_path):
+    g = write(tmp_path, "p2001.txt", to_edge_list(path(2001)))
+    code, out, err = run(capsys, "dim", g)
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["unknown"] == {"lower": 2, "upper": 4000}
+    assert payload["per_d"][-1] == {"d": 2, "verdict": "budget_exceeded", "nodes": 0}
+
+
 def test_condense_json(capsys, tmp_path):
     g = write(tmp_path, "d.txt", "3\n0 1\n0 2\n")
     code, out, _ = run(capsys, "condense", g)
@@ -186,7 +196,13 @@ def test_sweep_deterministic_output(capsys):
     code2, out2, _ = run(capsys, "sweep", "3")
     assert code1 == code2 == 0
     assert out1 == out2
-    assert len(out1.strip().splitlines()) == 27 + 1  # rows plus summary
+    lines = out1.strip().splitlines()
+    assert len(lines) == 27 + 1  # rows plus summary
+    rows = [json.loads(line) for line in lines[:-1]]
+    summary = json.loads(lines[-1])["summary"]
+    counts = Counter(str(r["dimension"]) for r in rows)
+    assert summary["histogram"] == dict(counts)
+    assert sum(summary["histogram"].values()) == summary["rows"]
 
 
 def test_sweep_dedup_counts_isomorphism_classes(capsys):

@@ -1,10 +1,14 @@
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
 from majdim import (
     EmptyInput,
     Realizer,
+    SolveOutcome,
     Verdict,
     acyclic_tournament,
     build,
@@ -21,7 +25,8 @@ from majdim import (
     single_arc,
     verify,
 )
-from helpers import all_labeled_digraphs, naive_realizable, random_digraph
+from majdim.solver import _Space
+from helpers import all_labeled_digraphs, naive_margin, naive_realizable, random_digraph
 
 
 def test_path3_not_realizable_in_two_dims():
@@ -161,11 +166,65 @@ def test_union_dimension_example():
     assert dimension(U).dimension == 2
 
 
+@pytest.mark.parametrize("nranks, d", [(1, 3), (3, 0), (3, 3), (4, 2), (2, 4)])
+def test_space_rows_match_naive_margins(nranks, d):
+    space = _Space(nranks, d)
+    vectors = space.vectors
+    sym = space.sym_mask((1 << max(d - 1, 0)) - 1)  # every column pair still tied
+    for c, vc in enumerate(vectors):
+        assert sym >> c & 1 == all(vc[i] <= vc[i + 1] for i in range(d - 1))
+        signs, neq = space.row(c)
+        for x, vx in enumerate(vectors):
+            m = naive_margin(vx, vc)
+            s = (m > 0) - (m < 0)
+            assert [signs[t] >> x & 1 for t in (0, 1, -1)] == [s == t for t in (0, 1, -1)]
+            assert neq >> x & 1 == all(a != b for a, b in zip(vx, vc))
+
+
 def test_solver_nodes_are_deterministic():
     a = is_realizable(cycle(4), 3)
     b = is_realizable(cycle(4), 3)
     assert a.nodes_explored == b.nodes_explored
     assert a.witness == b.witness
+
+
+@pytest.mark.parametrize(
+    "D, d, nodes",
+    [
+        (path(5), None, [0, 0, 106, 24]),
+        (path(6), None, [0, 0, 211, 24676, 71]),
+        (cycle(5), None, [0, 0, 106, 3585, 147]),
+        (cycle(6), None, [0, 0, 211, 24676, 68]),
+        (path(8), 4, [38208]),  # 4096 vectors
+        (path(9), 4, [61088]),  # 6561 vectors
+    ],
+    ids=["path5", "path6", "cycle5", "cycle6", "path8-d4", "path9-d4"],
+)
+def test_solver_node_counts_are_pinned(D, d, nodes):
+    if d is None:
+        got = [outcome.nodes_explored for _, outcome in dimension(D).per_d]
+    else:
+        got = [is_realizable(D, d).nodes_explored]
+    assert got == nodes
+
+
+def test_space_beyond_size_limit_is_a_bounds_verdict():
+    start = time.perf_counter()
+    res = dimension(path(2001))
+    assert time.perf_counter() - start < 1.0
+    assert not res.known and res.lower == 2
+    assert res.per_d[-1][1] == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
+
+
+def test_solver_runs_without_numpy():
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from majdim import cycle, dimension\n"
+        "print(dimension(cycle(5)).dimension)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "4"
 
 
 # --- chain / antichain utility ---------------------------------------------
