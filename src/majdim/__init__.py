@@ -30,6 +30,7 @@ from .digraph import (
     generate,
     has_induced_two_path,
     induced,
+    induced_two_paths,
     is_acyclic_tournament,
     is_tournament,
     is_transitive,

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import constructions, profiles, solver
 from .digraph import (
+    FAMILIES,
     BadParams,
     Digraph,
     DigraphError,
@@ -34,12 +35,11 @@ from .digraph import (
     disjoint_union,
     empty,
     from_edge_list,
+    generate,
     has_induced_two_path,
     is_acyclic_tournament,
     is_transitive,
     path,
-    single_arc,
-    subset_family,
     to_dot,
     to_edge_list,
 )
@@ -65,9 +65,23 @@ def _default_budget() -> int:
     if raw is None:
         return solver.DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ParseError(f"MAJDIM_BUDGET is not an integer: {raw!r}")
+    if budget < 0:
+        raise ParseError(f"MAJDIM_BUDGET must be nonnegative, got {budget}")
+    return budget
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --budget and --max-d: a negative value is an input error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _read(path_str: str) -> str:
@@ -114,28 +128,11 @@ def _load_points(path_str: str) -> list[tuple[int, int]]:
     return points
 
 
-_FAMILY_BUILDERS = {
-    "empty": (empty, 1),
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "tournament": (acyclic_tournament, 1),
-    "single-arc": (single_arc, 1),
-    "subset-family": (subset_family, 2),
-}
-
-
-def _family_digraph(family: str, params: list[int]) -> Digraph:
-    builder, arity = _FAMILY_BUILDERS[family]
-    if len(params) != arity:
-        raise ParseError(f"family {family} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
-
-
 # --- commands ---------------------------------------------------------------
 
 
 def _cmd_gen(args) -> int:
-    D = _family_digraph(args.family, args.params)
+    D = generate(args.family, *args.params)
     sys.stdout.write(to_dot(D) if args.dot else to_edge_list(D))
     return 0
 
@@ -403,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a named digraph family as an edge list")
-    p.add_argument("family", choices=sorted(_FAMILY_BUILDERS))
+    p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of an edge list")
     p.set_defaults(func=_cmd_gen)
@@ -424,8 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="exact weak majority dimension by complete search")
     p.add_argument("digraph")
-    p.add_argument("--max-d", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--max-d", type=_nonnegative_int, default=None)
+    p.add_argument("--budget", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("condense", help="homogeneous-class condensation")
@@ -435,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="dimensions of every labeled digraph on n vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--max-d", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--max-d", type=_nonnegative_int, default=None)
+    p.add_argument("--budget", type=_nonnegative_int, default=None)
     p.add_argument("--dedup", action="store_true", help="one row per isomorphism class")
     p.add_argument("--csv", action="store_true", help="CSV rows instead of JSON lines")
     p.set_defaults(func=_cmd_sweep)

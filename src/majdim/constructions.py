@@ -79,35 +79,25 @@ def realize_acyclic_tournament(D: Digraph) -> Realizer:
     return Realizer(1, {v: (degs[v] + 1,) for v in range(D.n)})
 
 
-def _extend_with_arc(D_minus: Digraph, f: Realizer, u: int, v: int) -> Realizer:
-    """Core of add_arc_realizer, preconditions already checked."""
-    if not D_minus.arcs:
-        # An arcless base needs only two fresh coordinates: u = (2, 3),
-        # v = (1, 2), every other vertex (3, 1) splits 1-1 against both.
-        vecs: dict[int, tuple[int, ...]] = {w: (3, 1) for w in range(D_minus.n)}
-        vecs[u] = (2, 3)
-        vecs[v] = (1, 2)
-        return Realizer(2, vecs)
-    vecs = {}
-    for w in range(D_minus.n):
-        base = f.vectors[w]
-        if w == u:
-            vecs[w] = base + (2, 0)
-        elif w == v:
-            vecs[w] = base + (1, 0)
-        else:
-            vecs[w] = base + (0, 1)
-    return Realizer(f.d + 2, vecs)
+# The two coordinates appended for an arc (u, v), as (u's pair, v's pair,
+# every other vertex's pair).  The first arc's pair stands alone: u beats
+# v in both coordinates and every bystander splits 1-1 against u and v.
+# A later arc's pair has u beat v in one coordinate, tied in the other,
+# and again splits u and v 1-1 against every bystander.  Bystanders are
+# equal to each other in both kinds of pair.
+_FIRST_ARC_COLUMNS = ((2, 3), (1, 2), (3, 1))
+_LATER_ARC_COLUMNS = ((2, 0), (1, 0), (0, 1))
 
 
 def add_arc_realizer(D_minus: Digraph, f: Realizer, arc: tuple[int, int]) -> Realizer:
     """Extend a realizer of D_minus to one of D_minus plus one new arc.
 
-    Two coordinates are appended: the first separates u from v (2 vs 1,
-    everyone else 0), the second restores the balance against bystanders
-    (0 for u, v; 1 for the rest).  Only the u, v margin changes, from 0 to
-    +1.  When D_minus has no arcs the base coordinates are dropped and the
-    two fresh coordinates alone realize the single-arc digraph.
+    Two coordinates are appended (_LATER_ARC_COLUMNS): the first separates
+    u from v (2 vs 1, everyone else 0), the second restores the balance
+    against bystanders (0 for u, v; 1 for the rest).  Only the u, v margin
+    changes, from 0 to +1.  When D_minus has no arcs the base coordinates
+    are dropped and the two fresh coordinates (_FIRST_ARC_COLUMNS) alone
+    realize the single-arc digraph.
     """
     u, v = arc
     if u == v:
@@ -120,7 +110,15 @@ def add_arc_realizer(D_minus: Digraph, f: Realizer, arc: tuple[int, int]) -> Rea
         raise NotIncomparable(f"({u}, {v}) already an arc of the base")
     if not verify(D_minus, f).valid:
         raise BadBase("realizer does not verify against the base digraph")
-    return _extend_with_arc(D_minus, f, u, v)
+    if D_minus.arcs:
+        d, base, columns = f.d + 2, f.vectors, _LATER_ARC_COLUMNS
+    else:
+        d, base, columns = 2, {w: () for w in range(D_minus.n)}, _FIRST_ARC_COLUMNS
+    u_pair, v_pair, rest = columns
+    vecs = {w: base[w] + rest for w in range(D_minus.n)}
+    vecs[u] = base[u] + u_pair
+    vecs[v] = base[v] + v_pair
+    return Realizer(d, vecs)
 
 
 def union_realizer(parts: list[tuple[Digraph, Realizer]]) -> Realizer:
@@ -392,16 +390,29 @@ def realize_cycle(n: int) -> Realizer:
 def generic_realizer(D: Digraph) -> Realizer:
     """Realizer of an arbitrary digraph in dimension 2 * #arcs.
 
-    Starting from the dimension-0 realizer of the arcless digraph, each
-    arc (taken in lexicographic order) is added with the two-coordinate
-    arc extension.  Far from minimal, but it bounds the dimension of every
-    digraph and so caps the exact search.
+    McGarvey's (1953) construction: two coordinates (two voters) per arc,
+    arcs taken in lexicographic order, the first arc's pair from
+    _FIRST_ARC_COLUMNS and every later one's from _LATER_ARC_COLUMNS.
+    Margins add up pair by pair.  Each pair adds a positive amount to its
+    own arc's margin (+2 for the first pair, +1 for a later one) and 0 to
+    every other vertex pair's margin, since a bystander splits 1-1 against
+    both endpoints and two bystanders tie.  Summed over all pairs, u beats
+    v exactly when (u, v) is an arc and non-adjacent pairs tie.  Far from
+    minimal, but it bounds the dimension of every digraph and so caps the
+    exact search.
+
+    The output equals folding add_arc_realizer over the sorted arcs from
+    realize_empty, but each vertex's coordinates are appended to one list,
+    so the cost is linear in n * #arcs.
     """
-    if not D.arcs:
+    arcs = D.sorted_arcs()
+    if not arcs:
         return realize_empty(D)
-    current = Digraph(D.n, frozenset())
-    f = realize_empty(current)
-    for u, v in D.sorted_arcs():
-        f = _extend_with_arc(current, f, u, v)
-        current = Digraph(D.n, current.arcs | {(u, v)})
-    return f
+    coords: list[list[int]] = [[] for _ in range(D.n)]
+    for k, (u, v) in enumerate(arcs):
+        u_pair, v_pair, rest = _LATER_ARC_COLUMNS if k else _FIRST_ARC_COLUMNS
+        for col in coords:
+            col += rest
+        coords[u][-2:] = u_pair
+        coords[v][-2:] = v_pair
+    return Realizer(2 * len(arcs), {w: tuple(col) for w, col in enumerate(coords)})

@@ -62,17 +62,8 @@ class Digraph:
             if (v, u) in self.arcs:
                 raise AntiparallelPair(f"both ({u}, {v}) and ({v}, {u}) present")
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def adjacent(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs or (v, u) in self.arcs
-
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(y for x, y in self.arcs if x == v)
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(x for x, y in self.arcs if y == v)
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -105,16 +96,20 @@ def is_transitive(D: Digraph) -> bool:
     return True
 
 
-def has_induced_two_path(D: Digraph) -> bool:
-    """True iff some x -> y -> z has non-adjacent endpoints x, z."""
+def induced_two_paths(D: Digraph):
+    """Yield every (x, y, z) with arcs x -> y -> z and x, z non-adjacent."""
     out: dict[int, list[int]] = {}
     for u, v in D.arcs:
         out.setdefault(u, []).append(v)
     for x, y in D.arcs:
         for z in out.get(y, ()):
             if z != x and not D.adjacent(x, z):
-                return True
-    return False
+                yield x, y, z
+
+
+def has_induced_two_path(D: Digraph) -> bool:
+    """True iff some x -> y -> z has non-adjacent endpoints x, z."""
+    return next(induced_two_paths(D), None) is not None
 
 
 def is_tournament(D: Digraph) -> bool:
@@ -247,22 +242,25 @@ def subset_family(r: int, d: int) -> Digraph:
     return Digraph(n, frozenset(arcs))
 
 
+# Name (as spelled by `majdim gen`) -> (generator, parameter count).
 FAMILIES = {
-    "empty": empty,
-    "path": path,
-    "cycle": cycle,
-    "acyclic_tournament": acyclic_tournament,
-    "single_arc": single_arc,
-    "subset_family": subset_family,
+    "empty": (empty, 1),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "tournament": (acyclic_tournament, 1),
+    "single-arc": (single_arc, 1),
+    "subset-family": (subset_family, 2),
 }
 
 
 def generate(kind: str, *params: int) -> Digraph:
-    """Dispatch to a named family generator."""
+    """Dispatch to a named family generator, checking the parameter count."""
     try:
-        fn = FAMILIES[kind]
+        fn, arity = FAMILIES[kind]
     except KeyError:
         raise BadParams(f"unknown family {kind!r}; choose from {sorted(FAMILIES)}")
+    if len(params) != arity:
+        raise BadParams(f"family {kind} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
 
 

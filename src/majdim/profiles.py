@@ -35,16 +35,24 @@ class ZeroDimension(ProfileError):
 
 @dataclass(frozen=True)
 class Profile:
-    """Voter rank lists over alternatives 0..alternatives-1."""
+    """Voter rank lists over alternatives 0..alternatives-1.
+
+    The alternative count and every rank must be `int`; floats, strings
+    and booleans raise ProfileError rather than being coerced.
+    """
 
     alternatives: int
     voters: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.alternatives) is not int:
+            raise ProfileError(f"alternative count must be an integer, got {self.alternatives!r}")
         if self.alternatives < 0:
             raise ProfileError(f"negative alternative count {self.alternatives}")
-        voters = tuple(tuple(int(r) for r in voter) for voter in self.voters)
+        voters = tuple(tuple(voter) for voter in self.voters)
         for i, voter in enumerate(voters):
+            if any(type(r) is not int for r in voter):
+                raise ProfileError(f"voter {i} has a non-integer rank: {list(voter)!r}")
             if len(voter) != self.alternatives:
                 raise ProfileError(
                     f"voter {i} ranks {len(voter)} alternatives, expected {self.alternatives}"
@@ -117,6 +125,6 @@ def profile_from_json(text: str) -> Profile:
     if not isinstance(data, dict) or "alternatives" not in data or "voters" not in data:
         raise ProfileError("profile JSON needs 'alternatives' and 'voters' fields")
     try:
-        return Profile(int(data["alternatives"]), tuple(tuple(v) for v in data["voters"]))
+        return Profile(data["alternatives"], tuple(tuple(v) for v in data["voters"]))
     except TypeError:
         raise ProfileError("profile JSON has malformed 'voters'")

@@ -53,16 +53,24 @@ def margin(x: Sequence[int], y: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class Realizer:
-    """Map from vertices to d-dimensional integer vectors."""
+    """Map from vertices to d-dimensional integer vectors.
+
+    d, the vertex keys and the coordinates must be `int`; floats, strings
+    and booleans raise RealizerError rather than being coerced.
+    """
 
     d: int
     vectors: dict[int, tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        if type(self.d) is not int:
+            raise RealizerError(f"dimension must be an integer, got {self.d!r}")
         if self.d < 0:
             raise BadDimension(f"dimension must be nonnegative, got {self.d}")
-        vecs = {int(v): tuple(int(c) for c in vec) for v, vec in self.vectors.items()}
+        vecs = {v: tuple(vec) for v, vec in self.vectors.items()}
         for v, vec in vecs.items():
+            if type(v) is not int or any(type(c) is not int for c in vec):
+                raise RealizerError(f"vertex {v!r} has a non-integer key or coordinate: {vec!r}")
             if len(vec) != self.d:
                 raise DimensionMismatch(
                     f"vertex {v} has a {len(vec)}-vector in a d={self.d} realizer"
@@ -168,4 +176,6 @@ def realizer_from_json(text: str) -> Realizer:
         vectors = {int(k): tuple(v) for k, v in data["vectors"].items()}
     except (TypeError, ValueError, AttributeError):
         raise RealizerError("realizer JSON has malformed 'vectors'")
-    return Realizer(int(data["d"]), vectors)
+    if {str(v) for v in vectors} != set(data["vectors"]):
+        raise RealizerError("realizer JSON vertex keys must be distinct decimal integers")
+    return Realizer(data["d"], vectors)

@@ -41,7 +41,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import constructions
-from .digraph import Digraph, condense, is_acyclic_tournament
+from .digraph import Digraph, condense, induced_two_paths, is_acyclic_tournament
 from .realizer import Realizer, extend_dims, verify
 
 DEFAULT_BUDGET = 10_000_000
@@ -198,15 +198,10 @@ def _bits(mask: int):
 
 def _no_equal_position_pairs(D: Digraph, pos: dict[int, int]) -> set[tuple[int, int]]:
     """Arc pairs of induced two-paths, as sorted assignment-order position pairs."""
-    out: dict[int, list[int]] = {}
-    for u, v in D.arcs:
-        out.setdefault(u, []).append(v)
     pairs: set[tuple[int, int]] = set()
-    for x, y in D.arcs:
-        for z in out.get(y, ()):
-            if z != x and not D.adjacent(x, z):
-                pairs.add(tuple(sorted((pos[x], pos[y]))))
-                pairs.add(tuple(sorted((pos[y], pos[z]))))
+    for x, y, z in induced_two_paths(D):
+        pairs.add(tuple(sorted((pos[x], pos[y]))))
+        pairs.add(tuple(sorted((pos[y], pos[z]))))
     return pairs
 
 

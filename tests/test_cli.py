@@ -28,10 +28,24 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def run_exit(capsys, *argv):
+    """Like run, but argparse rejections (SystemExit) count as exit codes."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 def test_gen_emits_edge_list(capsys):
     code, out, _ = run(capsys, "gen", "path", "3")
     assert code == 0
     assert from_edge_list(out) == path(3)
+
+
+def test_gen_wrong_parameter_count_exits_two(capsys):
+    code, _, err = run(capsys, "gen", "path", "1", "2")
+    assert code == 2 and "parameter" in err
 
 
 def test_gen_dot_flag(capsys):
@@ -63,6 +77,50 @@ def test_verify_malformed_edge_list_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "verify", g, r)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("verify", '{"d": 1, "vectors": {"0": [1.7], "1": [1.2]}}'),
+        ("verify", '{"d": 1, "vectors": {"0": ["a"], "1": [1]}}'),
+        ("verify", '{"d": "x", "vectors": {"0": [2], "1": [1]}}'),
+        ("profile", '{"alternatives": 2, "voters": [[1.5, 1]]}'),
+        ("profile", '{"alternatives": 2, "voters": [["abc", 1]]}'),
+    ],
+    ids=["float-coordinate", "string-coordinate", "string-d", "float-rank", "string-rank"],
+)
+def test_non_integer_json_values_exit_two(capsys, tmp_path, command, text):
+    data = write(tmp_path, "data.json", text)
+    if command == "verify":
+        argv = ["verify", write(tmp_path, "arc.txt", "2\n0 1\n"), data]
+    else:
+        argv = ["profile", "digraph", data]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "{g}", "--budget", "-5"],
+        ["dim", "{g}", "--max-d", "-1"],
+        ["sweep", "3", "--budget", "-1"],
+        ["sweep", "3", "--max-d", "-1"],
+    ],
+)
+def test_negative_budget_or_max_d_exits_two(capsys, tmp_path, argv):
+    g = write(tmp_path, "p3.txt", to_edge_list(path(3)))
+    code, err = run_exit(capsys, *[a.format(g=g) for a in argv])
+    assert code == 2 and "nonnegative" in err
+
+
+def test_negative_env_budget_exits_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MAJDIM_BUDGET", "-3")
+    g = write(tmp_path, "p3.txt", to_edge_list(path(3)))
+    code, out, err = run(capsys, "dim", g)
+    assert code == 2 and out == "" and "nonnegative" in err
 
 
 def test_verify_missing_file_exits_two(capsys, tmp_path):

@@ -268,6 +268,23 @@ def test_generic_realizer_examples():
     assert verify(cycle(3), g).valid
 
 
+def test_generic_realizer_path3_golden():
+    assert generic_realizer(path(3)).vectors == {0: (2, 3, 0, 1), 1: (1, 2, 2, 0), 2: (3, 1, 1, 0)}
+
+
+def test_generic_realizer_equals_add_arc_fold():
+    # the direct column build must match the one-arc-at-a-time extension
+    rng = random.Random(1953)
+    for _ in range(200):
+        D = random_digraph(rng, rng.randrange(0, 13))
+        f = realize_empty(empty(D.n))
+        current = Digraph(D.n, frozenset())
+        for arc in D.sorted_arcs():
+            f = add_arc_realizer(current, f, arc)
+            current = Digraph(D.n, current.arcs | {arc})
+        assert generic_realizer(D) == f
+
+
 def test_generic_realizer_dimension_is_twice_arc_count():
     rng = random.Random(5)
     for _ in range(40):

@@ -21,6 +21,7 @@ from majdim import (
     generate,
     has_induced_two_path,
     induced,
+    induced_two_paths,
     is_acyclic_tournament,
     is_tournament,
     is_transitive,
@@ -71,6 +72,23 @@ def test_induced_two_path_examples():
     assert not has_induced_two_path(TT3)  # shortcut arc closes the pair
     assert not has_induced_two_path(empty(4))
     assert not has_induced_two_path(cycle(3))
+
+
+def test_induced_two_paths_match_bruteforce():
+    rng = random.Random(17)
+    for _ in range(100):
+        D = random_digraph(rng, rng.randrange(0, 8))
+        expected = {
+            (x, y, z)
+            for x in range(D.n)
+            for y in range(D.n)
+            for z in range(D.n)
+            if (x, y) in D.arcs and (y, z) in D.arcs and x != z
+            and (x, z) not in D.arcs and (z, x) not in D.arcs
+        }
+        found = list(induced_two_paths(D))
+        assert len(found) == len(expected) and set(found) == expected
+        assert has_induced_two_path(D) == bool(expected)
 
 
 def test_induced_examples():
@@ -161,9 +179,11 @@ def test_family_bad_params():
 
 def test_generate_dispatch():
     assert generate("path", 3) == path(3)
-    assert generate("subset_family", 3, 1) == subset_family(3, 1)
-    with pytest.raises(BadParams):
-        generate("widget", 3)
+    assert generate("tournament", 3) == acyclic_tournament(3)
+    assert generate("subset-family", 3, 1) == subset_family(3, 1)
+    for kind, params in [("widget", (3,)), ("path", (1, 2)), ("subset-family", (3,)), ("empty", ())]:
+        with pytest.raises(BadParams):
+            generate(kind, *params)
 
 
 @given(st.integers(1, 8), st.integers(0, 4))

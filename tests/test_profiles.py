@@ -144,6 +144,15 @@ def test_profile_validation():
         Profile(3, ((1, 2),))
 
 
+@pytest.mark.parametrize(
+    "alternatives, voters",
+    [(2, ((1.5, 1),)), (2, (("abc", 1),)), (2, ((True, 1),)), (2.0, ((2, 1),)), (True, ((1,),))],
+)
+def test_profile_accepts_integers_only(alternatives, voters):
+    with pytest.raises(ProfileError):
+        Profile(alternatives, voters)
+
+
 def test_profile_json_roundtrip():
     text = profile_to_json(CONDORCET)
     assert profile_from_json(text) == CONDORCET

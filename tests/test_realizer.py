@@ -9,6 +9,7 @@ from majdim import (
     DimensionMismatch,
     MissingVertex,
     Realizer,
+    RealizerError,
     build,
     cycle,
     extend_dims,
@@ -61,6 +62,16 @@ def test_verify_missing_vertex():
 def test_realizer_rejects_ragged_vectors():
     with pytest.raises(DimensionMismatch):
         Realizer(2, {0: (1, 2), 1: (3,)})
+
+
+@pytest.mark.parametrize(
+    "d, vectors",
+    [(1, {0: (1.7,)}), (1, {0: ("1",)}), (1, {0: (True,)}), ("1", {0: (1,)}),
+     (True, {0: (1,)}), (1, {"0": (1,)})],
+)
+def test_realizer_accepts_integers_only(d, vectors):
+    with pytest.raises(RealizerError):
+        Realizer(d, vectors)
 
 
 def test_normalize_rank_compresses():
@@ -169,3 +180,5 @@ def test_json_rejects_garbage():
         realizer_from_json('{"vectors": {"0": [1]}}')
     with pytest.raises(RealizerError):
         realizer_from_json('{"d": 1, "vectors": [1, 2]}')
+    with pytest.raises(RealizerError):
+        realizer_from_json('{"d": 1, "vectors": {"0": [2], "1": [1], "01": [0]}}')
