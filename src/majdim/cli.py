@@ -13,12 +13,12 @@ budget; --budget overrides both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import constructions, profiles, solver
@@ -244,7 +244,7 @@ def _cmd_condense(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepRow:
     """One digraph's entry in a sweep: code, size, dimension, predicates."""
 
@@ -263,29 +263,42 @@ def _arc_code(arcs) -> str:
     return ";".join(f"{u}>{v}" for u, v in sorted(arcs))
 
 
-def _canonical_code(D: Digraph) -> str:
-    best = None
-    for perm in itertools.permutations(range(D.n)):
-        code = _arc_code((perm[u], perm[v]) for u, v in D.arcs)
-        if best is None or code < best:
-            best = code
-    return best if best is not None else ""
+def _arc_mask(n: int, arcs) -> int:
+    return sum(1 << (n * u + v) for u, v in arcs)
 
 
-def _all_labeled_digraphs(n: int):
+def _sweep_digraphs(n: int, dedup: bool):
+    """Yield (code, D) for the digraphs on n vertices that `sweep` reports.
+
+    One walk over the 3^C states of the C vertex pairs u < v, in
+    itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  Without
+    dedup every labeled digraph comes with its own arc code.  With dedup
+    only the first member of each isomorphism class comes, coded by the
+    least arc code over its n! relabelings; all of them are marked seen as
+    arc masks (bit n*u + v), so each later member costs one set lookup.
+    """
     pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n))) if dedup else []
+    seen: set[int] = set()
     for states in itertools.product(range(3), repeat=len(pairs)):
-        arcs = []
-        for (u, v), s in zip(pairs, states):
-            if s == 1:
-                arcs.append((u, v))
-            elif s == 2:
-                arcs.append((v, u))
-        yield build(n, arcs)
+        arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+        if not dedup:
+            yield _arc_code(arcs), build(n, arcs)
+            continue
+        if _arc_mask(n, arcs) in seen:
+            continue
+        codes = []
+        for perm in perms:
+            image = [(perm[u], perm[v]) for u, v in arcs]
+            seen.add(_arc_mask(n, image))
+            codes.append(_arc_code(image))
+        yield min(codes), build(n, arcs)
 
 
 def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRow:
-    result = solver.dimension(D, max_d=max_d, budget=budget)
+    # Search at every d, so the dim0/dim1 summary flags compare the search
+    # with the characterizations that `dimension` would otherwise shortcut to.
+    result = solver.dimension(D, max_d=max_d, budget=budget, shortcuts=False)
     cr = condense(D)
     row = SweepRow(
         digraph_code=code,
@@ -309,22 +322,12 @@ def _cmd_sweep(args) -> int:
     limit = 5 if args.dedup else 4
     if not (0 <= n <= limit):
         raise ParseError(f"sweep supports n <= {limit} {'with' if args.dedup else 'without'} --dedup")
-    rows: list[SweepRow] = []
-    seen: set[str] = set()
-    for D in _all_labeled_digraphs(n):
-        if args.dedup:
-            code = _canonical_code(D)
-            if code in seen:
-                continue
-            seen.add(code)
-        else:
-            code = _arc_code(D.arcs)
-        rows.append(_sweep_row(D, code, args.budget, args.max_d))
-
-    fields = [
-        "digraph_code", "n", "arc_count", "dimension", "lower", "upper",
-        "transitive", "induced_two_path", "dim1_condensation",
+    rows = [
+        _sweep_row(D, code, args.budget, args.max_d)
+        for code, D in _sweep_digraphs(n, args.dedup)
     ]
+
+    fields = [field.name for field in dataclasses.fields(SweepRow)]
     if args.csv:
         print(",".join(fields))
         for r in rows:

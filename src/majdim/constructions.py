@@ -249,7 +249,7 @@ def check_cycle_matrix(n: int, entries) -> None:
         raise ConstructionError(f"expected an {n} x 4 matrix")
     for row in entries:
         for a in row:
-            if not isinstance(a, int) or a < 1:
+            if type(a) is not int or a < 1:
                 raise ConstructionError(f"entry {a!r} is not a positive integer")
     for k in range(4):
         col = [row[k] for row in entries]
@@ -279,9 +279,7 @@ class CycleMatrix:
     entries: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(a) for a in row) for row in self.entries)
-        )
+        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
         check_cycle_matrix(self.n, self.entries)
 
 

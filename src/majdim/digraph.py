@@ -43,18 +43,22 @@ class EdgeListError(ValueError):
 
 @dataclass(frozen=True)
 class Digraph:
-    """A digraph on vertices 0..n-1 with a simple underlying graph."""
+    """A digraph on vertices 0..n-1 with a simple underlying graph.
+
+    The vertex count and the arc endpoints must be `int`; floats, strings
+    and booleans raise DigraphError rather than being coerced.
+    """
 
     n: int
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs)
-        )
-        if self.n < 0:
-            raise BadParams(f"vertex count must be nonnegative, got {self.n}")
+        object.__setattr__(self, "arcs", frozenset((u, v) for u, v in self.arcs))
+        if type(self.n) is not int or self.n < 0:
+            raise BadParams(f"vertex count must be a nonnegative integer, got {self.n!r}")
         for u, v in self.arcs:
+            if type(u) is not int or type(v) is not int:
+                raise DigraphError(f"arc ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise Loop(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -77,7 +81,7 @@ def build(n: int, arcs: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> 
     """
     seen: set[tuple[int, int]] = set()
     for arc in arcs:
-        pair = (int(arc[0]), int(arc[1]))
+        pair = (arc[0], arc[1])
         if pair in seen:
             raise DuplicateArc(f"arc {pair} listed twice")
         seen.add(pair)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Digraph
-from .realizer import Realizer
+from .realizer import Realizer, reject_repeated_keys
 
 
 class ProfileError(ValueError):
@@ -121,7 +121,7 @@ def profile_to_json(R: Profile) -> str:
 
 
 def profile_from_json(text: str) -> Profile:
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=reject_repeated_keys(ProfileError))
     if not isinstance(data, dict) or "alternatives" not in data or "voters" not in data:
         raise ProfileError("profile JSON needs 'alternatives' and 'voters' fields")
     try:

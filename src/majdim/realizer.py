@@ -163,13 +163,31 @@ def extend_dims(f: Realizer, r: int) -> Realizer:
 # keys; emission orders keys numerically so output is byte-stable.
 
 
+def reject_repeated_keys(error: type[ValueError]):
+    """A json.loads object_pairs_hook that raises `error` on a repeated key.
+
+    Plain json.loads keeps the last of two equal keys and drops the other
+    value without a word.
+    """
+
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = sorted({k for k in keys if keys.count(k) > 1})
+            raise error(f"JSON object repeats key(s) {repeated}")
+        return obj
+
+    return hook
+
+
 def realizer_to_json(f: Realizer) -> str:
     vectors = {str(v): list(f.vectors[v]) for v in sorted(f.vectors)}
     return json.dumps({"d": f.d, "vectors": vectors})
 
 
 def realizer_from_json(text: str) -> Realizer:
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=reject_repeated_keys(RealizerError))
     if not isinstance(data, dict) or "d" not in data or "vectors" not in data:
         raise RealizerError("realizer JSON needs 'd' and 'vectors' fields")
     try:

@@ -56,6 +56,14 @@ def all_labeled_digraphs(n):
         yield build(n, arcs)
 
 
+def brute_canonical_code(D):
+    """Least "u>v;..." arc code over all n! relabelings of D."""
+    return min(
+        ";".join(f"{u}>{v}" for u, v in sorted((p[u], p[v]) for u, v in D.arcs))
+        for p in itertools.permutations(range(D.n))
+    )
+
+
 def random_digraph(rng, n):
     arcs = []
     for u in range(n):

@@ -13,7 +13,9 @@ from majdim import (
     to_edge_list,
     verify,
 )
-from majdim.cli import main
+from majdim.cli import _sweep_digraphs, main
+
+from helpers import all_labeled_digraphs, brute_canonical_code
 
 
 def run(capsys, *argv):
@@ -87,8 +89,11 @@ def test_verify_malformed_edge_list_exits_two(capsys, tmp_path):
         ("verify", '{"d": "x", "vectors": {"0": [2], "1": [1]}}'),
         ("profile", '{"alternatives": 2, "voters": [[1.5, 1]]}'),
         ("profile", '{"alternatives": 2, "voters": [["abc", 1]]}'),
+        ("verify", '{"d": 1, "vectors": {"0": [2], "0": [0], "1": [1]}}'),
+        ("profile", '{"alternatives": 2, "voters": [[2, 1]], "voters": [[1, 2]]}'),
     ],
-    ids=["float-coordinate", "string-coordinate", "string-d", "float-rank", "string-rank"],
+    ids=["float-coordinate", "string-coordinate", "string-d", "float-rank", "string-rank",
+         "repeated-vertex-key", "repeated-voters-key"],
 )
 def test_non_integer_json_values_exit_two(capsys, tmp_path, command, text):
     data = write(tmp_path, "data.json", text)
@@ -268,6 +273,40 @@ def test_sweep_dedup_counts_isomorphism_classes(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) - 1 == 7  # classes on 3 vertices
+
+
+@pytest.mark.parametrize("n, classes", [(0, 1), (1, 1), (2, 2), (3, 7), (4, 42)])
+def test_sweep_digraphs_match_brute_force(n, classes):
+    labeled = list(all_labeled_digraphs(n))
+    assert list(_sweep_digraphs(n, dedup=False)) == [
+        (";".join(f"{u}>{v}" for u, v in D.sorted_arcs()), D) for D in labeled
+    ]
+    first_of_class = {}
+    for D in labeled:
+        first_of_class.setdefault(brute_canonical_code(D), D)
+    assert len(first_of_class) == classes
+    assert list(_sweep_digraphs(n, dedup=True)) == list(first_of_class.items())
+
+
+def test_sweep_five_dedup(capsys):
+    code, out, _ = run(capsys, "sweep", "5", "--dedup")
+    assert code == 0
+    lines = out.strip().splitlines()
+    summary = json.loads(lines[-1])["summary"]
+    assert len(lines) - 1 == summary["rows"] == 582
+    assert summary["histogram"] == {"0": 1, "1": 15, "2": 47, "3": 514, "4": 5}
+    assert all(v for k, v in summary.items() if k.startswith("dim"))
+
+
+def test_sweep_decides_low_dimensions_by_search(capsys, monkeypatch):
+    # A broken d = 1 characterization in the solver must not reach the
+    # sweep's rows, or its dim1 flag would be checking the solver's shortcut.
+    monkeypatch.setattr("majdim.solver.is_acyclic_tournament", lambda D: False)
+    code, out, _ = run(capsys, "sweep", "3")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["summary"]["histogram"] == {
+        "0": 1, "1": 12, "2": 6, "3": 8,
+    }
 
 
 def test_sweep_csv_mode(capsys):

@@ -6,6 +6,8 @@ from majdim import (
     BadBase,
     BadParams,
     ClassMismatch,
+    ConstructionError,
+    CycleMatrix,
     Digraph,
     HasCycle,
     NotEmpty,
@@ -17,6 +19,7 @@ from majdim import (
     acyclic_tournament,
     add_arc_realizer,
     build,
+    check_cycle_matrix,
     condense,
     condense_lift,
     cycle,
@@ -223,6 +226,17 @@ def test_cycle_matrix_base_case():
     )
     with pytest.raises(BadParams):
         cycle_matrix(3)
+
+
+@pytest.mark.parametrize("value", [4.5, 4.0, "4"])
+def test_cycle_matrix_rejects_non_integer_entries(value):
+    rows = [list(row) for row in cycle_matrix(4).entries]
+    assert rows[0][3] == 4
+    rows[0][3] = value
+    with pytest.raises(ConstructionError):
+        CycleMatrix(4, tuple(tuple(row) for row in rows))
+    with pytest.raises(ConstructionError):
+        check_cycle_matrix(4, rows)
 
 
 @pytest.mark.parametrize("n", list(range(4, 65)))

@@ -7,6 +7,7 @@ from majdim import (
     AntiparallelPair,
     BadParams,
     Digraph,
+    DigraphError,
     DuplicateArc,
     EdgeListError,
     Loop,
@@ -59,6 +60,20 @@ def test_build_rejects_out_of_range():
 def test_build_rejects_duplicates():
     with pytest.raises(DuplicateArc):
         build(3, [(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("arc", [(1.9, 0), (True, 2), (0, "1"), (0, 1.0)])
+def test_non_integer_endpoints_rejected(arc):
+    with pytest.raises(DigraphError):
+        Digraph(3, frozenset({arc}))
+    with pytest.raises(DigraphError):
+        build(3, [arc])
+
+
+@pytest.mark.parametrize("n", [2.0, True, "3"])
+def test_non_integer_vertex_count_rejected(n):
+    with pytest.raises(BadParams):
+        Digraph(n, frozenset())
 
 
 def test_transitive_examples():
