@@ -50,6 +50,7 @@ from .realizer import (
     Violation,
     extend_dims,
     margin,
+    margin_rows,
     normalize,
     realizer_from_json,
     realizer_to_json,

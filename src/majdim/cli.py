@@ -46,6 +46,8 @@ from .digraph import (
 from .realizer import (
     Realizer,
     RealizerError,
+    bits,
+    margin_rows,
     realizer_from_json,
     realizer_to_json,
     verify,
@@ -369,9 +371,13 @@ def _cmd_profile(args) -> int:
     R = _load_profile(args.file)
     if sub == "margin":
         m = R.alternatives
-        margins = [
-            [profiles.majority_margin(R, a, b) for b in range(m)] for a in range(m)
-        ]
+        margins = [[0] * m for _ in range(m)]
+        for a, row in enumerate(margin_rows(list(zip(*R.voters)))):
+            for g, s in row.items():
+                if g:
+                    for b in bits(s):
+                        margins[a][b] = g
+                        margins[b][a] = -g
         print(json.dumps({"alternatives": m, "margins": margins}))
         return 0
     if sub == "digraph":

@@ -16,7 +16,7 @@ from .digraph import (
     condense,
     is_tournament,
 )
-from .realizer import Realizer, extend_dims, verify
+from .realizer import Realizer, bits, extend_dims, margin_rows, verify
 
 
 class ConstructionError(ValueError):
@@ -233,10 +233,6 @@ def realize_path(n: int) -> Realizer:
 # --- cycle matrices ---------------------------------------------------------
 
 
-def _matrix_wins(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(x > y for x, y in zip(a, b))
-
-
 def check_cycle_matrix(n: int, entries) -> None:
     """Raise ConstructionError unless the n x 4 matrix realizes an n-cycle.
 
@@ -244,7 +240,14 @@ def check_cycle_matrix(n: int, entries) -> None:
     values; (iii) some column peaks in the last row while a different one
     bottoms out in the first; (iv) each cyclically consecutive row pair
     wins 3-1 downward; (v) every other pair splits 2-2.
+
+    Once the columns are distinct no two rows are equal in any column, so
+    a 3-1 win is margin 2 and a 2-2 split is margin 0, read from
+    margin_rows.  Every consecutive pair is checked before any distant one,
+    each kind in row order, and the first failure is raised.
     """
+    if type(n) is not int or n < 1:
+        raise ConstructionError(f"row count must be a positive integer, got {n!r}")
     if len(entries) != n or any(len(row) != 4 for row in entries):
         raise ConstructionError(f"expected an {n} x 4 matrix")
     for row in entries:
@@ -259,16 +262,28 @@ def check_cycle_matrix(n: int, entries) -> None:
     min_cols = {k for k in range(4) if min(range(n), key=lambda i: entries[i][k]) == 0}
     if not any(j != k for j in max_cols for k in min_cols):
         raise ConstructionError("no disjoint last-row-max / first-row-min columns")
+    # wins_next[i]: row i beats row (i + 1) % n 3-1; the wrap pair sits in row 0.
+    wins_next = [False] * n
+    distant = None
+    full = (1 << n) - 1
+    for i, row in enumerate(margin_rows(entries)):
+        consecutive = 1 << i + 1
+        if i + 1 < n:
+            wins_next[i] = bool(row.get(2, 0) & consecutive)
+        if i == 0:
+            wrap = 1 << n - 1
+            wins_next[n - 1] = n > 1 and bool(row.get(-2, 0) & wrap)
+            consecutive |= wrap
+        later = full ^ ((2 << i) - 1)
+        j = next(bits(later & ~(row.get(0, 0) | consecutive)), None)
+        if distant is None and j is not None:
+            distant = i, j
     for i in range(n):
-        j = (i + 1) % n
-        if _matrix_wins(entries[i], entries[j]) != 3:
-            raise ConstructionError(f"rows {i + 1}, {j + 1}: consecutive pair is not 3-1")
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            if _matrix_wins(entries[i], entries[j]) != 2:
-                raise ConstructionError(f"rows {i + 1}, {j + 1}: distant pair is not 2-2")
+        if not wins_next[i]:
+            raise ConstructionError(f"rows {i + 1}, {(i + 1) % n + 1}: consecutive pair is not 3-1")
+    if distant is not None:
+        i, j = distant
+        raise ConstructionError(f"rows {i + 1}, {j + 1}: distant pair is not 2-2")
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,15 @@ class EdgeListError(ValueError):
     """Malformed edge-list text."""
 
 
+def _arc_pair(arc) -> tuple[int, int]:
+    """The arc as a (u, v) tuple; anything but a pair is a DigraphError."""
+    try:
+        u, v = arc
+    except (TypeError, ValueError):
+        raise DigraphError(f"arc {arc!r} is not a pair of vertices")
+    return u, v
+
+
 @dataclass(frozen=True)
 class Digraph:
     """A digraph on vertices 0..n-1 with a simple underlying graph.
@@ -53,7 +62,7 @@ class Digraph:
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", frozenset((u, v) for u, v in self.arcs))
+        object.__setattr__(self, "arcs", frozenset(_arc_pair(arc) for arc in self.arcs))
         if type(self.n) is not int or self.n < 0:
             raise BadParams(f"vertex count must be a nonnegative integer, got {self.n!r}")
         for u, v in self.arcs:
@@ -81,7 +90,7 @@ def build(n: int, arcs: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> 
     """
     seen: set[tuple[int, int]] = set()
     for arc in arcs:
-        pair = (arc[0], arc[1])
+        pair = _arc_pair(arc)
         if pair in seen:
             raise DuplicateArc(f"arc {pair} listed twice")
         seen.add(pair)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Digraph
-from .realizer import Realizer, reject_repeated_keys
+from .realizer import Realizer, bits, margin_rows, reject_repeated_keys
 
 
 class ProfileError(ValueError):
@@ -73,15 +73,18 @@ def majority_margin(R: Profile, a: int, b: int) -> int:
 def majority_digraph(R: Profile) -> Digraph:
     """Digraph with an arc a -> b exactly when the margin of a over b is
     positive.  Antisymmetry of the margin keeps the underlying graph
-    simple."""
-    arcs = set()
-    for a in range(R.alternatives):
-        for b in range(a + 1, R.alternatives):
-            g = majority_margin(R, a, b)
+    simple.
+
+    The margins come from margin_rows on the transposed voters, one vector
+    per alternative.  Without voters there are no vectors and no rows,
+    which is right: every margin is 0."""
+    arcs = []
+    for a, row in enumerate(margin_rows(list(zip(*R.voters)))):
+        for g, s in row.items():
             if g > 0:
-                arcs.add((a, b))
+                arcs.extend((a, b) for b in bits(s))
             elif g < 0:
-                arcs.add((b, a))
+                arcs.extend((b, a) for b in bits(s))
     return Digraph(R.alternatives, frozenset(arcs))
 
 

@@ -97,30 +97,90 @@ class VerifyReport:
     violations: tuple[Violation, ...]
 
 
+def bits(mask: int):
+    """Indices of the set bits of mask, from low to high."""
+    digits = bin(mask)[:1:-1]
+    x = digits.find("1")
+    while x >= 0:
+        yield x
+        x = digits.find("1", x + 1)
+
+
+def margin_rows(vectors: Sequence[Sequence[int]]):
+    """Yield, for each u in order, {m: set of v > u with margin(vectors[u],
+    vectors[v]) == m} over the nonempty margins m; sets are bitsets (bit v).
+
+    One sort per coordinate gives every u the set of vectors below it and
+    the set below or equal to it there.  Row u starts with all v > u at
+    margin 0, and each coordinate moves every live margin set down, across
+    or up.  The live sets partition the v > u, so a row holds at most
+    min(2d + 1, n - u - 1) of them, and rows are built one at a time.
+    """
+    n = len(vectors)
+    lengths = set(map(len, vectors))
+    if len(lengths) > 1:
+        raise DimensionMismatch(f"vector lengths differ: {sorted(lengths)}")
+    # cols[i][u] = (vectors below u, vectors below or equal to u) in coordinate i.
+    cols = []
+    for col in zip(*vectors):
+        tied: dict[int, int] = {}
+        for v, value in enumerate(col):
+            tied[value] = tied.get(value, 0) | 1 << v
+        below = 0
+        masks = {}
+        for value in sorted(tied):
+            masks[value] = below, below | tied[value]
+            below |= tied[value]
+        cols.append([masks[value] for value in col])
+    later = (1 << n) - 1
+    for u in range(n):
+        later >>= 1
+        levels = {0: later << u + 1} if later else {}
+        for masks in cols:
+            lt, le = masks[u]
+            moved: dict[int, int] = {}
+            for m, s in levels.items():
+                up = s & lt
+                if up:
+                    moved[m + 1] = moved.get(m + 1, 0) | up
+                across = s & le ^ up
+                if across:
+                    moved[m] = moved.get(m, 0) | across
+                down = s ^ up ^ across
+                if down:
+                    moved[m - 1] = moved.get(m - 1, 0) | down
+            levels = moved
+        yield levels
+
+
 def verify(D: Digraph, f: Realizer) -> VerifyReport:
     """Check that arcs coincide exactly with positive margins.
 
     For every pair u < v the margin of f(u) against f(v) must be positive
     when (u, v) is an arc, negative when (v, u) is, and zero otherwise.
+    The margins come row by row from margin_rows; only the pairs whose
+    margin has the wrong sign become Violations, in (u, v) order.
     """
     for v in range(D.n):
         if v not in f.vectors:
             raise MissingVertex(f"no vector for vertex {v}")
+    wins = [0] * D.n
+    losses = [0] * D.n
+    for u, v in D.arcs:
+        wins[u] |= 1 << v
+        losses[v] |= 1 << u
     violations: list[Violation] = []
-    for u in range(D.n):
-        for v in range(u + 1, D.n):
-            m = margin(f.vectors[u], f.vectors[v])
-            if (u, v) in D.arcs:
-                expected = "u>v"
-                ok = m > 0
-            elif (v, u) in D.arcs:
-                expected = "v>u"
-                ok = m < 0
-            else:
-                expected = "tie"
-                ok = m == 0
-            if not ok:
-                violations.append(Violation(u, v, expected, m))
+    rows = margin_rows([f.vectors[v] for v in range(D.n)])
+    for u, row in enumerate(rows):
+        win, loss = wins[u], losses[u]
+        wrong = []
+        for m, s in row.items():
+            bad = s & ~win if m > 0 else s & ~loss if m < 0 else s & (win | loss)
+            if bad:
+                wrong.extend((v, m) for v in bits(bad))
+        for v, m in sorted(wrong):
+            expected = "u>v" if win >> v & 1 else "v>u" if loss >> v & 1 else "tie"
+            violations.append(Violation(u, v, expected, m))
     return VerifyReport(not violations, tuple(violations))
 
 

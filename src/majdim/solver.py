@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from . import constructions
 from .digraph import Digraph, condense, induced_two_paths, is_acyclic_tournament
-from .realizer import Realizer, extend_dims, verify
+from .realizer import Realizer, bits, extend_dims, verify
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -187,15 +187,6 @@ def _space_for(nranks: int, d: int) -> _Space:
     return _Space(nranks, d)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, from low to high."""
-    digits = bin(mask)[:1:-1]
-    x = digits.find("1")
-    while x >= 0:
-        yield x
-        x = digits.find("1", x + 1)
-
-
 def _no_equal_position_pairs(D: Digraph, pos: dict[int, int]) -> set[tuple[int, int]]:
     """Arc pairs of induced two-paths, as sorted assignment-order position pairs."""
     pairs: set[tuple[int, int]] = set()
@@ -234,7 +225,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
 
     def descend(depth: int, doms: list[int], pattern: int) -> bool:
         nonlocal nodes, budget_hit
-        for c in _bits(doms[depth] & space.sym_mask(pattern)):
+        for c in bits(doms[depth] & space.sym_mask(pattern)):
             if nodes >= budget:
                 budget_hit = True
                 return False
@@ -328,24 +319,40 @@ def es_chain_or_antichain(points) -> tuple[str, list[tuple[int, int]]]:
     is longer (ties go to the chain).
 
     Comparability is componentwise: (x1, x2) <= (y1, y2) iff x1 <= y1 and
-    x2 <= y2.  The chain comes from quadratic DP over the lexicographically
-    sorted points; the antichain is a largest height level of that DP,
-    which is an antichain because a dominated point always has a smaller
-    height.  Among m >= k^2 + 1 points one of the two has size >= k + 1.
+    x2 <= y2.  After a lexicographic sort every earlier point has x no
+    larger, so point i's height is one more than the largest height among
+    earlier points with y no larger, and its parent is the lowest-indexed
+    of those.  A Fenwick tree over y ranks keeps the prefix maximum of
+    (height, -index), so the whole DP takes O(m log m).  The antichain is
+    a largest height level, which is an antichain because a dominated
+    point always has a smaller height.  Among m >= k^2 + 1 points one of
+    the two has size >= k + 1.
     """
     pts = [(int(p[0]), int(p[1])) for p in points]
     if not pts:
         raise EmptyInput("no points given")
     pts.sort()
     m = len(pts)
+    rank = {y: r for r, y in enumerate(sorted({y for _, y in pts}), start=1)}
+    tree = [(0, 0)] * (len(rank) + 1)  # tree[r]: best (height, -index) over a rank range
     height = [1] * m
     parent = [-1] * m
-    for i in range(m):
-        xi, yi = pts[i]
-        for j in range(i):
-            if pts[j][0] <= xi and pts[j][1] <= yi and height[j] + 1 > height[i]:
-                height[i] = height[j] + 1
-                parent[i] = j
+    for i, (_, y) in enumerate(pts):
+        best = (0, 0)
+        r = rank[y]
+        while r:
+            if tree[r] > best:
+                best = tree[r]
+            r &= r - 1
+        if best[0]:
+            height[i] = best[0] + 1
+            parent[i] = -best[1]
+        key = (height[i], -i)
+        r = rank[y]
+        while r < len(tree):
+            if key > tree[r]:
+                tree[r] = key
+            r += r & -r
     longest = max(height)
     k = height.index(longest)
     chain: list[tuple[int, int]] = []

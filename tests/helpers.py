@@ -112,3 +112,58 @@ def cycle_matrix_failures(n, entries):
             if abs(i - j) >= 2 and {i, j} != {0, n - 1} and wins(i, j) != 2:
                 failures.append(f"distant rows ({i}, {j}) not 2 wins")
     return failures
+
+
+def naive_violations(D, vectors):
+    """verify's violation tuples from the definition, pair by pair in (u, v) order."""
+    found = []
+    for u in range(D.n):
+        for v in range(u + 1, D.n):
+            m = naive_margin(vectors[u], vectors[v])
+            if (u, v) in D.arcs:
+                expected, ok = "u>v", m > 0
+            elif (v, u) in D.arcs:
+                expected, ok = "v>u", m < 0
+            else:
+                expected, ok = "tie", m == 0
+            if not ok:
+                found.append((u, v, expected, m))
+    return found
+
+
+def naive_majority_arcs(alternatives, voters):
+    """Arcs a -> b with more voters ranking a above b than b above a."""
+    return {
+        (a, b)
+        for a in range(alternatives)
+        for b in range(alternatives)
+        if sum(r[a] > r[b] for r in voters) > sum(r[b] > r[a] for r in voters)
+    }
+
+
+def quadratic_es(points):
+    """The O(m^2) longest-chain DP es_chain_or_antichain used to run.
+
+    Same sort, same lowest-index parent among the best predecessors, same
+    largest-level rule, so its answer must match the library's exactly.
+    """
+    pts = sorted((int(x), int(y)) for x, y in points)
+    m = len(pts)
+    height = [1] * m
+    parent = [-1] * m
+    for i in range(m):
+        for j in range(i):
+            if pts[j][0] <= pts[i][0] and pts[j][1] <= pts[i][1] and height[j] + 1 > height[i]:
+                height[i] = height[j] + 1
+                parent[i] = j
+    k = height.index(max(height))
+    chain = []
+    while k != -1:
+        chain.append(pts[k])
+        k = parent[k]
+    chain.reverse()
+    sizes = {h: height.count(h) for h in set(height)}
+    level = max(sizes, key=lambda h: (sizes[h], -h))
+    if len(chain) >= sizes[level]:
+        return "chain", chain
+    return "antichain", [p for p, h in zip(pts, height) if h == level]

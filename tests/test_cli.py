@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -6,8 +7,10 @@ from collections import Counter
 import pytest
 
 from majdim import (
+    Profile,
     from_edge_list,
     cycle,
+    majority_margin,
     path,
     realizer_from_json,
     to_edge_list,
@@ -343,6 +346,19 @@ def test_profile_commands(capsys, tmp_path):
     assert code == 0
     f = realizer_from_json(out)
     assert verify(cycle(3), f).valid
+
+
+def test_profile_margin_matches_pairwise_margins(capsys, tmp_path):
+    rng = random.Random(67)
+    for _ in range(60):
+        m, nv = rng.randrange(0, 8), rng.randrange(0, 5)
+        voters = [[rng.randrange(-1, 3) for _ in range(m)] for _ in range(nv)]
+        R = Profile(m, voters)
+        prof = write(tmp_path, "p.json", json.dumps({"alternatives": m, "voters": voters}))
+        code, out, _ = run(capsys, "profile", "margin", prof)
+        margins = [[majority_margin(R, a, b) for b in range(m)] for a in range(m)]
+        assert code == 0
+        assert out == json.dumps({"alternatives": m, "margins": margins}) + "\n"
 
 
 def test_profile_from_realizer(capsys, tmp_path):

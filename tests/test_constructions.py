@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -237,6 +238,55 @@ def test_cycle_matrix_rejects_non_integer_entries(value):
         CycleMatrix(4, tuple(tuple(row) for row in rows))
     with pytest.raises(ConstructionError):
         check_cycle_matrix(4, rows)
+
+
+@pytest.mark.parametrize("n", [4.0, True, False, "4", None, -1, 0])
+def test_cycle_matrix_rejects_bad_row_counts(n):
+    entries = cycle_matrix(4).entries
+    with pytest.raises(ConstructionError, match="row count"):
+        CycleMatrix(n, entries)
+    with pytest.raises(ConstructionError, match="row count"):
+        check_cycle_matrix(n, entries)
+
+
+def _first_failing_pair_message(failures):
+    """check_cycle_matrix's message for the helper's first failure, if a row pair."""
+    found = re.match(r"(consecutive|distant) rows \((\d+), (\d+)\)", failures[0])
+    if found is None:
+        return None
+    kind, i, j = found[1], int(found[2]), int(found[3])
+    condition = "consecutive pair is not 3-1" if kind == "consecutive" else "distant pair is not 2-2"
+    return f"rows {i + 1}, {j + 1}: {condition}"
+
+
+def test_cycle_matrix_check_matches_independent_checker():
+    # Cycle matrices with up to two column values swapped with their rank
+    # neighbour (which keeps (i) and (ii)), plus random 1-3 row matrices.
+    rng = random.Random(53)
+    seen = {"ok": 0, "consecutive": 0, "distant": 0}
+    for _ in range(1200):
+        n = rng.randrange(1, 13)
+        if n < 4:
+            rows = [rng.sample(range(1, 20), 4) for _ in range(n)]
+        else:
+            rows = [list(row) for row in cycle_matrix(n).entries]
+        for _ in range(rng.randrange(0, 3) if n >= 4 else 0):
+            k, t = rng.randrange(4), rng.randrange(n - 1)
+            order = sorted(range(n), key=lambda r: rows[r][k])
+            a, b = order[t], order[t + 1]
+            rows[a][k], rows[b][k] = rows[b][k], rows[a][k]
+        failures = cycle_matrix_failures(n, rows)
+        if not failures:
+            check_cycle_matrix(n, rows)
+            seen["ok"] += 1
+            continue
+        with pytest.raises(ConstructionError) as err:
+            check_cycle_matrix(n, rows)
+        expected = _first_failing_pair_message(failures)
+        if expected is not None:
+            assert str(err.value) == expected
+            seen[failures[0].split(" ", 1)[0]] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 @pytest.mark.parametrize("n", list(range(4, 65)))

@@ -70,6 +70,14 @@ def test_non_integer_endpoints_rejected(arc):
         build(3, [arc])
 
 
+@pytest.mark.parametrize("arc", [(0, 1, 2), (0,), (), 5, None])
+def test_arcs_that_are_not_pairs_rejected(arc):
+    with pytest.raises(DigraphError, match="not a pair"):
+        Digraph(3, frozenset({arc}))
+    with pytest.raises(DigraphError, match="not a pair"):
+        build(3, [arc])
+
+
 @pytest.mark.parametrize("n", [2.0, True, "3"])
 def test_non_integer_vertex_count_rejected(n):
     with pytest.raises(BadParams):

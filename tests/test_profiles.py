@@ -21,6 +21,7 @@ from majdim import (
     realizer_to_profile,
     verify,
 )
+from helpers import naive_majority_arcs
 
 # a > b > c; b > c > a; c > a > b
 CONDORCET = Profile(3, ((3, 2, 1), (1, 3, 2), (2, 1, 3)))
@@ -129,14 +130,15 @@ def test_roundtrip_preserves_margins():
                 assert got == want
 
 
-@settings(max_examples=80)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=200)
+@given(st.integers(0, 8), st.integers(0, 5), st.data())
 def test_majority_digraph_always_validates(m, nv, data):
     voters = tuple(
-        tuple(data.draw(st.integers(0, 3)) for _ in range(m)) for _ in range(nv)
+        tuple(data.draw(st.integers(-2, 3)) for _ in range(m)) for _ in range(nv)
     )
     D = majority_digraph(Profile(m, voters))
     assert build(D.n, sorted(D.arcs)) == D  # full validation passes
+    assert D.n == m and D.arcs == naive_majority_arcs(m, voters)
 
 
 def test_profile_validation():

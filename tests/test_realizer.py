@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from majdim import (
     BadDimension,
@@ -14,13 +14,14 @@ from majdim import (
     cycle,
     extend_dims,
     margin,
+    margin_rows,
     normalize,
     path,
     realizer_from_json,
     realizer_to_json,
     verify,
 )
-from helpers import pair_counts, random_digraph
+from helpers import naive_margin, naive_violations, pair_counts, random_digraph
 
 P3_REALIZER = Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 0, 3)})
 C3_REALIZER = Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 3, 1)})
@@ -52,6 +53,47 @@ def test_verify_strict_domination_fails():
     assert not report.valid
     bad = [v for v in report.violations if (v.u, v.v) == (0, 2)]
     assert bad and bad[0].expected == "tie" and bad[0].margin == 2
+
+
+@settings(max_examples=300)
+@example([])
+@example([()])
+@example([(), (), ()])
+@example([(4, -1)])
+@given(st.integers(0, 6).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=9)
+))
+def test_margin_rows_match_naive_margins(vectors):
+    rows = list(margin_rows(vectors))
+    assert len(rows) == len(vectors)
+    for u, row in enumerate(rows):
+        got = {}
+        for m, s in row.items():
+            assert s, "empty margin sets are left out"
+            for v in range(len(vectors)):
+                if s >> v & 1:
+                    assert v not in got
+                    got[v] = m
+        assert got == {v: naive_margin(vectors[u], vectors[v]) for v in range(u + 1, len(vectors))}
+
+
+def test_margin_rows_reject_ragged_vectors():
+    with pytest.raises(DimensionMismatch):
+        list(margin_rows([(1, 2), (1, 2, 3)]))
+
+
+def test_verify_violations_match_naive_reference_in_order():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(0, 10)
+        d = rng.randrange(0, 5)
+        D = random_digraph(rng, n)
+        extra = rng.randrange(3)  # vertices beyond D.n are ignored
+        vecs = {v: tuple(rng.randrange(-2, 3) for _ in range(d)) for v in range(n + extra)}
+        report = verify(D, Realizer(d, vecs))
+        expected = naive_violations(D, vecs)
+        assert [tuple(w) for w in report.violations] == expected
+        assert report.valid == (not expected)
 
 
 def test_verify_missing_vertex():

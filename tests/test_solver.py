@@ -26,7 +26,13 @@ from majdim import (
     verify,
 )
 from majdim.solver import _Space
-from helpers import all_labeled_digraphs, naive_margin, naive_realizable, random_digraph
+from helpers import (
+    all_labeled_digraphs,
+    naive_margin,
+    naive_realizable,
+    quadratic_es,
+    random_digraph,
+)
 
 
 def test_path3_not_realizable_in_two_dims():
@@ -280,3 +286,13 @@ def test_es_ties_prefer_chain():
     # longest chain 2 and largest level 2: the chain wins the tie
     kind, witness = es_chain_or_antichain([(1, 1), (2, 2), (3, 0)])
     assert kind == "chain" and witness == [(1, 1), (2, 2)]
+
+
+def test_es_matches_quadratic_dp():
+    # Small coordinate ranges force duplicate points and shared x or y.
+    rng = random.Random(47)
+    for _ in range(400):
+        m = rng.randrange(1, 40)
+        span = rng.choice([2, 4, 10, 1000])
+        pts = [(rng.randrange(span), rng.randrange(-span, span)) for _ in range(m)]
+        assert es_chain_or_antichain(pts) == quadratic_es(pts)
