@@ -80,6 +80,7 @@ from .constructions import (
 )
 from .solver import (
     DEFAULT_BUDGET,
+    BadPoint,
     DimensionResult,
     EmptyInput,
     SolveOutcome,

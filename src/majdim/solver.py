@@ -1,19 +1,36 @@
 """Exact realizability search and dimension computation for small digraphs.
 
 The search assigns every vertex a full rank vector in {1..n}^d, one vertex
-at a time in descending-degree order.  Ranks lose no generality: any
-realizer can be rank-compressed per coordinate to at most n distinct
-values.  After each assignment the margins against all previously placed
-vertices are checked exactly, so a completed assignment is a realizer by
-construction and an exhausted tree is a proof of non-realizability.
+at a time.  Ranks lose no generality: any realizer can be rank-compressed
+per coordinate to at most n distinct values.  After each assignment the
+margins against all previously placed vertices are checked exactly, so a
+completed assignment is a realizer by construction and an exhausted tree
+is a proof of non-realizability.
+
+Vertex order is fail-first and depends on the branch.  The first vertex is
+the first in (-degree, v) order.  After a vertex is placed, the next one is
+the unassigned u with the fewest candidates per incident arc, the least
+|dom(u)| / (1 + deg(u)); ratios are compared exactly by cross-multiplying,
+and ties go to the earlier vertex in (-degree, v) order, so node counts
+and witnesses are deterministic.  The sizes are taken inside the forward
+check below, one bit count per narrowed domain.  The constraint tables are
+indexed by vertex: need[u][w] is the required sign of margin(w, u), and
+noeq[u][w] marks the pairs under the no-shared-coordinate rule.
 
 Pruning, all of it completeness-preserving:
 
-* column symmetry - permuting coordinates never changes a margin, so the
-  coordinate columns (read as sequences over the assignment order) may be
-  required to be lexicographically nondecreasing; a partial assignment is
-  cut as soon as a column pair is strictly decreasing on the assigned
-  prefix.
+* column symmetry - permuting coordinates never changes a margin.  Two
+  adjacent columns are still tied while they are equal on every assigned
+  vertex, and the next vertex's values must be nondecreasing within each
+  block of still-tied columns; once a column pair differs on a placed
+  vertex it is free.  This stays complete under any vertex order: if some
+  realizer extends the current partial assignment, sorting the next
+  vertex's values within each tied block is a column permutation that
+  fixes every assigned vertex, so it maps that realizer to one that still
+  extends the assignment, meets every domain (domains only encode margins
+  and shared coordinates with assigned vertices) and gives the next vertex
+  an enumerated vector, whichever vertex is next.  By induction over the
+  placements the search reaches a realizer whenever one exists.
 * forward checking - every unassigned vertex keeps its candidate vectors
   as a bitset (a Python int, bit x for vector x), which is intersected
   with the relation row of each newly placed vertex; an empty candidate
@@ -51,6 +68,10 @@ _SPACE_SIZE_LIMIT = 4_000_000
 
 class EmptyInput(ValueError):
     """Point set is empty."""
+
+
+class BadPoint(ValueError):
+    """A point is not a pair of int coordinates."""
 
 
 class Verdict(Enum):
@@ -187,15 +208,6 @@ def _space_for(nranks: int, d: int) -> _Space:
     return _Space(nranks, d)
 
 
-def _no_equal_position_pairs(D: Digraph, pos: dict[int, int]) -> set[tuple[int, int]]:
-    """Arc pairs of induced two-paths, as sorted assignment-order position pairs."""
-    pairs: set[tuple[int, int]] = set()
-    for x, y, z in induced_two_paths(D):
-        pairs.add(tuple(sorted((pos[x], pos[y]))))
-        pairs.add(tuple(sorted((pos[y], pos[z]))))
-    return pairs
-
-
 def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """Decide by complete backtracking whether D has a d-dimensional realizer."""
     if d < 0:
@@ -206,53 +218,60 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     if n**d > _SPACE_SIZE_LIMIT:
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
-    degree = [0] * n
+    weight = [1] * n  # 1 + degree
+    need = [[0] * n for _ in range(n)]  # need[u][w]: required sign of margin(w, u)
     for u, v in D.arcs:
-        degree[u] += 1
-        degree[v] += 1
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
-    pos = {v: i for i, v in enumerate(order)}
+        weight[u] += 1
+        weight[v] += 1
+        need[v][u] = 1
+        need[u][v] = -1
+    noeq = [[False] * n for _ in range(n)]
+    if d == 3:
+        for x, y, z in induced_two_paths(D):
+            noeq[x][y] = noeq[y][x] = noeq[y][z] = noeq[z][y] = True
+    order = sorted(range(n), key=lambda v: (-weight[v], v))
 
-    need = [[0] * n for _ in range(n)]  # need[new][assigned]: required margin sign
-    for u, v in D.arcs:
-        need[pos[u]][pos[v]] = 1
-        need[pos[v]][pos[u]] = -1
-    noeq = _no_equal_position_pairs(D, pos) if d == 3 else set()
-
+    above_any = len(space.vectors) + 1  # exceeds every domain size
     chosen = [0] * n
     nodes = 0
     budget_hit = False
 
-    def descend(depth: int, doms: list[int], pattern: int) -> bool:
+    def descend(u: int, rest: list[int], doms: list[int], pattern: int) -> bool:
+        # Place u; rest holds the other unassigned vertices in tie-break order.
         nonlocal nodes, budget_hit
-        for c in bits(doms[depth] & space.sym_mask(pattern)):
+        need_u, noeq_u = need[u], noeq[u]
+        for c in bits(doms[u] & space.sym_mask(pattern)):
             if nodes >= budget:
                 budget_hit = True
                 return False
             nodes += 1
-            chosen[depth] = c
-            if depth + 1 == n:
+            chosen[u] = c
+            if not rest:
                 return True
             signs, neq = space.row(c)
             new_doms = list(doms)
-            dead = False
-            for j in range(depth + 1, n):
-                narrowed = new_doms[j] & signs[need[j][depth]]
-                if (depth, j) in noeq:
+            best, best_size, best_weight = -1, above_any, 1
+            for w in rest:
+                narrowed = doms[w] & signs[need_u[w]]
+                if noeq_u[w]:
                     narrowed &= neq
                 if not narrowed:
-                    dead = True
                     break
-                new_doms[j] = narrowed
-            if not dead and descend(depth + 1, new_doms, space.advance_pattern(pattern, c)):
-                return True
+                new_doms[w] = narrowed
+                size = narrowed.bit_count()
+                if size * best_weight < best_size * weight[w]:
+                    best, best_size, best_weight = w, size, weight[w]
+            else:
+                nxt = [w for w in rest if w != best]
+                if descend(best, nxt, new_doms, space.advance_pattern(pattern, c)):
+                    return True
             if budget_hit:
                 return False
         return False
 
-    found = descend(0, [space.full] * n, (1 << max(d - 1, 0)) - 1)
+    found = descend(order[0], order[1:], [space.full] * n, (1 << max(d - 1, 0)) - 1)
     if found:
-        witness = Realizer(d, {order[i]: space.vectors[chosen[i]] for i in range(n)})
+        witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
         if not verify(D, witness).valid:
             raise RuntimeError("search produced an invalid witness")
         return SolveOutcome(Verdict.REALIZABLE, witness, nodes)
@@ -314,6 +333,17 @@ def dimension(
     return DimensionResult(None, ceiling + 1, arc_bound, tuple(per_d))
 
 
+def _point(p) -> tuple[int, int]:
+    """The point as an (x, y) tuple; floats, strings and booleans raise BadPoint."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise BadPoint(f"point {p!r} is not a pair of coordinates")
+    if type(x) is not int or type(y) is not int:
+        raise BadPoint(f"point {p!r} has a non-integer coordinate")
+    return x, y
+
+
 def es_chain_or_antichain(points) -> tuple[str, list[tuple[int, int]]]:
     """Longest chain or largest antichain level of planar points, whichever
     is longer (ties go to the chain).
@@ -326,9 +356,10 @@ def es_chain_or_antichain(points) -> tuple[str, list[tuple[int, int]]]:
     (height, -index), so the whole DP takes O(m log m).  The antichain is
     a largest height level, which is an antichain because a dominated
     point always has a smaller height.  Among m >= k^2 + 1 points one of
-    the two has size >= k + 1.
+    the two has size >= k + 1.  A point that is not a pair of `int`
+    coordinates raises BadPoint instead of being coerced.
     """
-    pts = [(int(p[0]), int(p[1])) for p in points]
+    pts = [_point(p) for p in points]
     if not pts:
         raise EmptyInput("no points given")
     pts.sort()

@@ -7,7 +7,18 @@ against itself.
 
 import itertools
 
-from majdim import Digraph, build
+from majdim import (
+    DEFAULT_BUDGET,
+    Digraph,
+    Realizer,
+    SolveOutcome,
+    Verdict,
+    build,
+    induced_two_paths,
+    verify,
+)
+from majdim.realizer import bits
+from majdim.solver import _SPACE_SIZE_LIMIT, _space_for
 
 
 def pair_counts(x, y):
@@ -167,3 +178,73 @@ def quadratic_es(points):
     if len(chain) >= sizes[level]:
         return "chain", chain
     return "antichain", [p for p, h in zip(pts, height) if h == level]
+
+
+def static_order_search(D, d, budget=DEFAULT_BUDGET):
+    """The exact search with a fixed vertex order, as the solver ran before
+    it chose the next vertex fail-first.
+
+    Vertices are placed in descending-degree order (ties by index), with the
+    same spaces, column-symmetry masks, forward checking and d = 3
+    no-shared-coordinate rule, so its verdicts must match is_realizable's
+    while its node counts keep the old search's values.
+    """
+    n = D.n
+    if n == 0:
+        return SolveOutcome(Verdict.REALIZABLE, Realizer(d, {}), 0)
+    if n**d > _SPACE_SIZE_LIMIT:
+        return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
+    space = _space_for(n, d)
+    degree = [0] * n
+    for u, v in D.arcs:
+        degree[u] += 1
+        degree[v] += 1
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    need = [[0] * n for _ in range(n)]  # need[new][assigned]: required margin sign
+    for u, v in D.arcs:
+        need[pos[u]][pos[v]] = 1
+        need[pos[v]][pos[u]] = -1
+    noeq = set()
+    if d == 3:
+        for x, y, z in induced_two_paths(D):
+            noeq.add(tuple(sorted((pos[x], pos[y]))))
+            noeq.add(tuple(sorted((pos[y], pos[z]))))
+    chosen = [0] * n
+    nodes = 0
+    budget_hit = False
+
+    def descend(depth, doms, pattern):
+        nonlocal nodes, budget_hit
+        for c in bits(doms[depth] & space.sym_mask(pattern)):
+            if nodes >= budget:
+                budget_hit = True
+                return False
+            nodes += 1
+            chosen[depth] = c
+            if depth + 1 == n:
+                return True
+            signs, neq = space.row(c)
+            new_doms = list(doms)
+            dead = False
+            for j in range(depth + 1, n):
+                narrowed = new_doms[j] & signs[need[j][depth]]
+                if (depth, j) in noeq:
+                    narrowed &= neq
+                if not narrowed:
+                    dead = True
+                    break
+                new_doms[j] = narrowed
+            if not dead and descend(depth + 1, new_doms, space.advance_pattern(pattern, c)):
+                return True
+            if budget_hit:
+                return False
+        return False
+
+    if descend(0, [space.full] * n, (1 << max(d - 1, 0)) - 1):
+        witness = Realizer(d, {order[i]: space.vectors[chosen[i]] for i in range(n)})
+        assert verify(D, witness).valid
+        return SolveOutcome(Verdict.REALIZABLE, witness, nodes)
+    if budget_hit:
+        return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, nodes)
+    return SolveOutcome(Verdict.NOT_REALIZABLE, None, nodes)

@@ -2,9 +2,10 @@
 
 Budgets are node counts (default 10**7 here), so every run is
 reproducible.  The conftest hook prints one PASS/FAIL line per criterion.
-The d=3 exhaustion for the 10-vertex path is a stretch check behind
-``pytest --hard``; running out of budget there is a legitimate outcome and
-is asserted to be reported as bounds, never as a settled dimension.
+The d=3 exhaustions for the 10-vertex path and for subset_family(4, 1)
+are stretch checks behind ``pytest --hard``.  For the path, running out of
+budget is a legitimate outcome and is asserted to be reported as bounds,
+never as a settled dimension.
 """
 
 import itertools
@@ -203,6 +204,26 @@ def test_criterion_6a_transitive_family_generator():
     D = subset_family(3, 1)
     assert is_realizable(D, 0, budget=BUDGET).verdict is Verdict.NOT_REALIZABLE
     assert is_realizable(D, 1, budget=BUDGET).verdict is Verdict.NOT_REALIZABLE
+
+
+def test_criterion_6a_subset_family_dimension_three():
+    # the transitive family's first member beyond dimension 2: d=2 is
+    # exhausted and d=3 yields a verified witness
+    D = subset_family(3, 1)
+    res = dimension(D, budget=BUDGET)
+    assert res.dimension == 3
+    assert dict(res.per_d)[2].verdict is Verdict.NOT_REALIZABLE
+    assert verify(D, res.witness).valid
+
+
+def test_criterion_6a_subset_family_dimension_four_stretch(hard_mode):
+    if not hard_mode:
+        pytest.skip("stretch check: run with --hard")
+    D = subset_family(4, 1)
+    assert is_realizable(D, 3, budget=10**9).verdict is Verdict.NOT_REALIZABLE
+    outcome = is_realizable(D, 4, budget=BUDGET)
+    assert outcome.verdict is Verdict.REALIZABLE
+    assert verify(D, outcome.witness).valid
 
 
 def test_criterion_6b_ten_vertex_path_witness():

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import time
 import pytest
 
 from majdim import (
+    BadPoint,
     EmptyInput,
     Realizer,
     SolveOutcome,
@@ -23,6 +25,7 @@ from majdim import (
     is_realizable,
     path,
     single_arc,
+    subset_family,
     verify,
 )
 from majdim.solver import _Space
@@ -32,6 +35,7 @@ from helpers import (
     naive_realizable,
     quadratic_es,
     random_digraph,
+    static_order_search,
 )
 
 
@@ -197,12 +201,12 @@ def test_solver_nodes_are_deterministic():
 @pytest.mark.parametrize(
     "D, d, nodes",
     [
-        (path(5), None, [0, 0, 106, 24]),
-        (path(6), None, [0, 0, 211, 24676, 71]),
-        (cycle(5), None, [0, 0, 106, 3585, 147]),
-        (cycle(6), None, [0, 0, 211, 24676, 68]),
-        (path(8), 4, [38208]),  # 4096 vectors
-        (path(9), 4, [61088]),  # 6561 vectors
+        (path(5), None, [0, 0, 57, 24]),
+        (path(6), None, [0, 0, 104, 11460, 68]),
+        (cycle(5), None, [0, 0, 57, 1903, 147]),
+        (cycle(6), None, [0, 0, 104, 10444, 68]),
+        (path(8), 4, [12576]),
+        (path(9), 4, [18595]),
     ],
     ids=["path5", "path6", "cycle5", "cycle6", "path8-d4", "path9-d4"],
 )
@@ -212,6 +216,101 @@ def test_solver_node_counts_are_pinned(D, d, nodes):
     else:
         got = [is_realizable(D, d).nodes_explored]
     assert got == nodes
+
+
+@pytest.mark.parametrize(
+    "D, d, nodes",
+    [
+        (path(5), None, [0, 0, 106, 24]),
+        (path(6), None, [0, 0, 211, 24676, 71]),
+        (cycle(5), None, [0, 0, 106, 3585, 147]),
+        (cycle(6), None, [0, 0, 211, 24676, 68]),
+        (path(8), 4, [38208]),  # 4096 vectors
+        (path(9), 4, [61088]),  # 6561 vectors
+    ],
+    ids=["path5", "path6", "cycle5", "cycle6", "path8-d4", "path9-d4"],
+)
+def test_static_order_node_counts_are_pinned(D, d, nodes):
+    # The fixed descending-degree order the search used before it went
+    # fail-first; levels 0 and 1 are settled by shortcuts at 0 nodes.
+    if d is None:
+        got = [0, 0]
+        for level in range(2, len(nodes)):
+            got.append(static_order_search(D, level).nodes_explored)
+    else:
+        got = [static_order_search(D, d).nodes_explored]
+    assert got == nodes
+
+
+def _assert_same_verdict(D, d):
+    new = is_realizable(D, d)
+    old = static_order_search(D, d)
+    assert new.verdict is old.verdict, (D.n, sorted(D.arcs), d)
+    assert new.verdict is not Verdict.BUDGET_EXCEEDED
+    for outcome in (new, old):
+        if outcome.verdict is Verdict.REALIZABLE:
+            assert outcome.witness.d == d
+            assert verify(D, outcome.witness).valid
+
+
+def test_fail_first_matches_static_order_on_small_digraphs():
+    for n in range(5):
+        for D in all_labeled_digraphs(n):
+            for d in range(5):
+                _assert_same_verdict(D, d)
+
+
+def test_fail_first_matches_static_order_on_paths_and_cycles():
+    for n in range(2, 9):
+        for D in (path(n), cycle(n)) if n >= 3 else (path(n),):
+            for d in (2, 3, 4):
+                _assert_same_verdict(D, d)
+
+
+def test_fail_first_matches_static_order_on_random_digraphs():
+    rng = random.Random(53)
+    for _ in range(200):
+        D = random_digraph(rng, rng.randrange(1, 7))
+        for d in (2, 3, 4):
+            _assert_same_verdict(D, d)
+
+
+def _shuffled(D, rng):
+    arcs = sorted(D.arcs)
+    rng.shuffle(arcs)
+    return build(D.n, arcs)
+
+
+_FINGERPRINT_SCRIPT = """
+from majdim import cycle, dimension, path, subset_family
+for D in (path(7), cycle(7), subset_family(3, 1)):
+    res = dimension(D)
+    print([outcome.nodes_explored for _, outcome in res.per_d], sorted(res.witness.vectors.items()))
+"""
+
+
+def _fingerprint(D):
+    res = dimension(D)
+    return f"{[outcome.nodes_explored for _, outcome in res.per_d]} {sorted(res.witness.vectors.items())}"
+
+
+def test_search_does_not_depend_on_arc_order_or_hash_seed():
+    # Node counts are an exact regression gate, so neither the order in
+    # which arcs arrive nor string hashing may move them.
+    rng = random.Random(59)
+    expected = []
+    for D in (path(7), cycle(7), subset_family(3, 1)):
+        fingerprint = _fingerprint(D)
+        for _ in range(3):
+            assert _fingerprint(_shuffled(D, rng)) == fingerprint, sorted(D.arcs)
+        expected.append(fingerprint)
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", _FINGERPRINT_SCRIPT], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == expected, seed
 
 
 def test_space_beyond_size_limit_is_a_bounds_verdict():
@@ -286,6 +385,26 @@ def test_es_ties_prefer_chain():
     # longest chain 2 and largest level 2: the chain wins the tie
     kind, witness = es_chain_or_antichain([(1, 1), (2, 2), (3, 0)])
     assert kind == "chain" and witness == [(1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1.7, 0.2), (True, "3")],
+        [(0, 0), (2.0, 1)],
+        [(0, 0), (1, False)],
+        [(0, 0), ("1", 2)],
+        [(0, 0), (1, None)],
+        [(0, 0), (1, 2, 3)],
+        [(0, 0), (1,)],
+        [(0, 0), 7],
+    ],
+    ids=["float-and-bool", "float", "bool", "string", "none", "triple", "single", "scalar"],
+)
+def test_es_rejects_points_that_are_not_int_pairs(points):
+    with pytest.raises(BadPoint):
+        es_chain_or_antichain(points)
+    assert issubclass(BadPoint, ValueError)
 
 
 def test_es_matches_quadratic_dp():
