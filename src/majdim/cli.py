@@ -29,6 +29,7 @@ from .digraph import (
     DigraphError,
     EdgeListError,
     acyclic_tournament,
+    bits,
     build,
     condense,
     cycle,
@@ -46,7 +47,6 @@ from .digraph import (
 from .realizer import (
     Realizer,
     RealizerError,
-    bits,
     margin_rows,
     realizer_from_json,
     realizer_to_json,
@@ -89,7 +89,7 @@ def _nonnegative_int(text: str) -> int:
 def _read(path_str: str) -> str:
     try:
         return Path(path_str).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path_str}: {exc}")
 
 
@@ -265,36 +265,27 @@ def _arc_code(arcs) -> str:
     return ";".join(f"{u}>{v}" for u, v in sorted(arcs))
 
 
-def _arc_mask(n: int, arcs) -> int:
-    return sum(1 << (n * u + v) for u, v in arcs)
-
-
 def _sweep_digraphs(n: int, dedup: bool):
     """Yield (code, D) for the digraphs on n vertices that `sweep` reports.
 
     One walk over the 3^C states of the C vertex pairs u < v, in
-    itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  Without
-    dedup every labeled digraph comes with its own arc code.  With dedup
-    only the first member of each isomorphism class comes, coded by the
-    least arc code over its n! relabelings; all of them are marked seen as
-    arc masks (bit n*u + v), so each later member costs one set lookup.
+    itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  A digraph
+    not yet seen comes coded by the least arc code over its relabelings,
+    which are all marked seen: with dedup the n! permutations, so only the
+    first member of each isomorphism class comes, and without it only the
+    identity.  `sweep` caps n at 5, so labels are one digit and the least
+    code is the code of the least sorted arc list.
     """
     pairs = list(itertools.combinations(range(n), 2))
-    perms = list(itertools.permutations(range(n))) if dedup else []
-    seen: set[int] = set()
+    perms = list(itertools.permutations(range(n))) if dedup else [tuple(range(n))]
+    seen: set[frozenset[tuple[int, int]]] = set()
     for states in itertools.product(range(3), repeat=len(pairs)):
         arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
-        if not dedup:
-            yield _arc_code(arcs), build(n, arcs)
+        if frozenset(arcs) in seen:
             continue
-        if _arc_mask(n, arcs) in seen:
-            continue
-        codes = []
-        for perm in perms:
-            image = [(perm[u], perm[v]) for u, v in arcs]
-            seen.add(_arc_mask(n, image))
-            codes.append(_arc_code(image))
-        yield min(codes), build(n, arcs)
+        images = [sorted((perm[u], perm[v]) for u, v in arcs) for perm in perms]
+        seen.update(map(frozenset, images))
+        yield _arc_code(min(images)), build(n, arcs)
 
 
 def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRow:

@@ -14,9 +14,10 @@ from .digraph import (
     CondensationResult,
     Digraph,
     condense,
+    cycle,
     is_tournament,
 )
-from .realizer import Realizer, bits, extend_dims, margin_rows, verify
+from .realizer import Realizer, extend_dims, margin, verify
 
 
 class ConstructionError(ValueError):
@@ -71,9 +72,7 @@ def realize_acyclic_tournament(D: Digraph) -> Realizer:
     """
     if not is_tournament(D):
         raise NotTournament(f"{D.n} vertices need {D.n * (D.n - 1) // 2} arcs")
-    degs = [0] * D.n
-    for u, _ in D.arcs:
-        degs[u] += 1
+    degs = [row.bit_count() for row in D.out]
     if sorted(degs) != list(range(D.n)):
         raise HasCycle("tournament out-degrees are not pairwise distinct")
     return Realizer(1, {v: (degs[v] + 1,) for v in range(D.n)})
@@ -212,8 +211,8 @@ def realize_path(n: int) -> Realizer:
     leading n vertices of the odd construction; a prefix of a path is an
     induced subpath, so the restriction still verifies.
     """
-    if n < 1:
-        raise BadParams(f"realize_path({n})")
+    if type(n) is not int or n < 1:
+        raise BadParams(f"realize_path({n!r})")
     if n == 1:
         return Realizer(0, {0: ()})
     if n == 2:
@@ -242,9 +241,10 @@ def check_cycle_matrix(n: int, entries) -> None:
     wins 3-1 downward; (v) every other pair splits 2-2.
 
     Once the columns are distinct no two rows are equal in any column, so
-    a 3-1 win is margin 2 and a 2-2 split is margin 0, read from
-    margin_rows.  Every consecutive pair is checked before any distant one,
-    each kind in row order, and the first failure is raised.
+    a 3-1 win is margin 2 and a 2-2 split is margin 0.  Once (iv) holds
+    (so n >= 3), verify against the n-cycle reports exactly the distant
+    pairs with a nonzero margin, in (u, v) order.  The first failure is
+    raised, consecutive pairs before distant ones.
     """
     if type(n) is not int or n < 1:
         raise ConstructionError(f"row count must be a positive integer, got {n!r}")
@@ -262,28 +262,13 @@ def check_cycle_matrix(n: int, entries) -> None:
     min_cols = {k for k in range(4) if min(range(n), key=lambda i: entries[i][k]) == 0}
     if not any(j != k for j in max_cols for k in min_cols):
         raise ConstructionError("no disjoint last-row-max / first-row-min columns")
-    # wins_next[i]: row i beats row (i + 1) % n 3-1; the wrap pair sits in row 0.
-    wins_next = [False] * n
-    distant = None
-    full = (1 << n) - 1
-    for i, row in enumerate(margin_rows(entries)):
-        consecutive = 1 << i + 1
-        if i + 1 < n:
-            wins_next[i] = bool(row.get(2, 0) & consecutive)
-        if i == 0:
-            wrap = 1 << n - 1
-            wins_next[n - 1] = n > 1 and bool(row.get(-2, 0) & wrap)
-            consecutive |= wrap
-        later = full ^ ((2 << i) - 1)
-        j = next(bits(later & ~(row.get(0, 0) | consecutive)), None)
-        if distant is None and j is not None:
-            distant = i, j
     for i in range(n):
-        if not wins_next[i]:
+        if margin(entries[i], entries[(i + 1) % n]) != 2:
             raise ConstructionError(f"rows {i + 1}, {(i + 1) % n + 1}: consecutive pair is not 3-1")
-    if distant is not None:
-        i, j = distant
-        raise ConstructionError(f"rows {i + 1}, {j + 1}: distant pair is not 2-2")
+    report = verify(cycle(n), Realizer(4, dict(enumerate(entries))))
+    if not report.valid:
+        first = report.violations[0]
+        raise ConstructionError(f"rows {first.u + 1}, {first.v + 1}: distant pair is not 2-2")
 
 
 @dataclass(frozen=True)
@@ -376,8 +361,8 @@ def cycle_matrix(n: int) -> CycleMatrix:
     1-1.  Summing the halves gives 3-1 on cycle arcs and 2-2 elsewhere.
     All five matrix conditions are re-checked on construction.
     """
-    if n < 4:
-        raise BadParams(f"cycle_matrix({n}): need n >= 4")
+    if type(n) is not int or n < 4:
+        raise BadParams(f"cycle_matrix({n!r}): need n >= 4")
     if n == 4:
         return CycleMatrix(4, _BASE_FOUR)
     ax, ay = _block_columns(_first_block_clusters(n), n)
@@ -392,8 +377,8 @@ def realize_cycle(n: int) -> Realizer:
     For n >= 4 vertex i takes row i of the cycle matrix: consecutive rows
     win 3-1 (margin +2) and distant rows split 2-2 (margin 0).
     """
-    if n < 3:
-        raise BadParams(f"realize_cycle({n}): need n >= 3")
+    if type(n) is not int or n < 3:
+        raise BadParams(f"realize_cycle({n!r}): need n >= 3")
     if n == 3:
         return Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 3, 1)})
     matrix = cycle_matrix(n)

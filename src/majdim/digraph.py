@@ -5,12 +5,19 @@ u != v, and at most one of (u, v), (v, u) may be present, so the underlying
 undirected graph has no loops or parallel edges.  Everything here is an
 immutable value and every operation is a pure function, so concurrent use
 needs no coordination.
+
+Adjacency has one representation: `D.out[u]` and `D.into[v]` are the out-
+and in-neighbours as bitsets (Python ints, bit v of out[u] set iff u -> v).
+They are built from the arcs on first use and kept, so a digraph that is
+only printed never allocates them.  The predicates here, `verify` and the
+search all read their neighbourhoods from these rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class DigraphError(ValueError):
@@ -39,6 +46,23 @@ class BadParams(DigraphError):
 
 class EdgeListError(ValueError):
     """Malformed edge-list text."""
+
+
+def bits(mask: int):
+    """Indices of the set bits of mask, from low to high."""
+    digits = bin(mask)[:1:-1]
+    x = digits.find("1")
+    while x >= 0:
+        yield x
+        x = digits.find("1", x + 1)
+
+
+def _neighbour_rows(n: int, arcs) -> tuple[int, ...]:
+    """rows[u] has bit v set for every (u, v) in arcs."""
+    rows = [0] * n
+    for u, v in arcs:
+        rows[u] |= 1 << v
+    return tuple(rows)
 
 
 def _arc_pair(arc) -> tuple[int, int]:
@@ -75,6 +99,16 @@ class Digraph:
             if (v, u) in self.arcs:
                 raise AntiparallelPair(f"both ({u}, {v}) and ({v}, {u}) present")
 
+    @cached_property
+    def out(self) -> tuple[int, ...]:
+        """out[u]: bitset of the out-neighbours of u."""
+        return _neighbour_rows(self.n, self.arcs)
+
+    @cached_property
+    def into(self) -> tuple[int, ...]:
+        """into[v]: bitset of the in-neighbours of v."""
+        return _neighbour_rows(self.n, ((v, u) for u, v in self.arcs))
+
     def adjacent(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs or (v, u) in self.arcs
 
@@ -99,25 +133,16 @@ def build(n: int, arcs: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> 
 
 def is_transitive(D: Digraph) -> bool:
     """True iff (x, z) is an arc whenever (x, y) and (y, z) are."""
-    out: dict[int, list[int]] = {}
-    for u, v in D.arcs:
-        out.setdefault(u, []).append(v)
-    for x, y in D.arcs:
-        for z in out.get(y, ()):
-            if (x, z) not in D.arcs:
-                return False
-    return True
+    out = D.out
+    return all(not out[y] & ~out[x] for x, y in D.arcs)
 
 
 def induced_two_paths(D: Digraph):
     """Yield every (x, y, z) with arcs x -> y -> z and x, z non-adjacent."""
-    out: dict[int, list[int]] = {}
-    for u, v in D.arcs:
-        out.setdefault(u, []).append(v)
-    for x, y in D.arcs:
-        for z in out.get(y, ()):
-            if z != x and not D.adjacent(x, z):
-                yield x, y, z
+    out, into = D.out, D.into
+    for x, y in D.arcs:  # out[y] never holds x: y -> x would be antiparallel
+        for z in bits(out[y] & ~(out[x] | into[x])):
+            yield x, y, z
 
 
 def has_induced_two_path(D: Digraph) -> bool:
@@ -138,18 +163,22 @@ def is_acyclic_tournament(D: Digraph) -> bool:
     """
     if not is_tournament(D):
         return False
-    degs = [0] * D.n
-    for u, _ in D.arcs:
-        degs[u] += 1
-    return sorted(degs) == list(range(D.n))
+    return sorted(row.bit_count() for row in D.out) == list(range(D.n))
 
 
 def induced(D: Digraph, S) -> Digraph:
-    """Subdigraph induced by vertex subset S, relabeled along sorted(S)."""
-    vs = sorted(set(S))
-    for v in vs:
+    """Subdigraph induced by vertex subset S, relabeled along sorted(S).
+
+    Vertices must be `int`; floats, strings and booleans raise DigraphError
+    rather than being coerced.
+    """
+    S = list(S)
+    for v in S:
+        if type(v) is not int:
+            raise DigraphError(f"vertex {v!r} is not an integer")
         if not (0 <= v < D.n):
             raise VertexOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
+    vs = sorted(set(S))
     pos = {v: i for i, v in enumerate(vs)}
     arcs = frozenset(
         (pos[u], pos[v]) for u, v in D.arcs if u in pos and v in pos
@@ -173,17 +202,10 @@ class CondensationResult:
 
 def condense(D: Digraph) -> CondensationResult:
     """Group homogeneous vertices and return the condensed digraph."""
-    outs: list[set[int]] = [set() for _ in range(D.n)]
-    ins: list[set[int]] = [set() for _ in range(D.n)]
-    for u, v in D.arcs:
-        outs[u].add(v)
-        ins[v].add(u)
-    key_to_rep: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    key_to_rep: dict[tuple[int, int], int] = {}
     representative: dict[int, int] = {}
-    for v in range(D.n):
-        key = (frozenset(outs[v]), frozenset(ins[v]))
-        rep = key_to_rep.setdefault(key, v)
-        representative[v] = rep
+    for v, key in enumerate(zip(D.out, D.into)):
+        representative[v] = key_to_rep.setdefault(key, v)
     reps = sorted(set(representative.values()))
     rep_index = {r: i for i, r in enumerate(reps)}
     class_of = {v: rep_index[representative[v]] for v in range(D.n)}

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .digraph import Digraph
-from .realizer import Realizer, bits, margin_rows, reject_repeated_keys
+from .digraph import Digraph, bits
+from .realizer import Realizer, margin_rows, reject_repeated_keys
 
 
 class ProfileError(ValueError):

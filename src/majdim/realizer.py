@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, bits
 
 
 class RealizerError(ValueError):
@@ -97,15 +97,6 @@ class VerifyReport:
     violations: tuple[Violation, ...]
 
 
-def bits(mask: int):
-    """Indices of the set bits of mask, from low to high."""
-    digits = bin(mask)[:1:-1]
-    x = digits.find("1")
-    while x >= 0:
-        yield x
-        x = digits.find("1", x + 1)
-
-
 def margin_rows(vectors: Sequence[Sequence[int]]):
     """Yield, for each u in order, {m: set of v > u with margin(vectors[u],
     vectors[v]) == m} over the nonempty margins m; sets are bitsets (bit v).
@@ -158,21 +149,16 @@ def verify(D: Digraph, f: Realizer) -> VerifyReport:
 
     For every pair u < v the margin of f(u) against f(v) must be positive
     when (u, v) is an arc, negative when (v, u) is, and zero otherwise.
-    The margins come row by row from margin_rows; only the pairs whose
-    margin has the wrong sign become Violations, in (u, v) order.
+    The margins come row by row from margin_rows and are compared with
+    the digraph's out- and in-neighbour rows; only the pairs whose margin
+    has the wrong sign become Violations, in (u, v) order.
     """
     for v in range(D.n):
         if v not in f.vectors:
             raise MissingVertex(f"no vector for vertex {v}")
-    wins = [0] * D.n
-    losses = [0] * D.n
-    for u, v in D.arcs:
-        wins[u] |= 1 << v
-        losses[v] |= 1 << u
     violations: list[Violation] = []
     rows = margin_rows([f.vectors[v] for v in range(D.n)])
-    for u, row in enumerate(rows):
-        win, loss = wins[u], losses[u]
+    for u, (row, win, loss) in enumerate(zip(rows, D.out, D.into)):
         wrong = []
         for m, s in row.items():
             bad = s & ~win if m > 0 else s & ~loss if m < 0 else s & (win | loss)

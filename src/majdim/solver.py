@@ -58,8 +58,8 @@ from enum import Enum
 from functools import lru_cache
 
 from . import constructions
-from .digraph import Digraph, condense, induced_two_paths, is_acyclic_tournament
-from .realizer import Realizer, bits, extend_dims, verify
+from .digraph import Digraph, bits, condense, induced_two_paths, is_acyclic_tournament
+from .realizer import Realizer, extend_dims, verify
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -203,6 +203,12 @@ class _Space:
         return pattern
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless value is a nonnegative `int` (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @lru_cache(maxsize=32)
 def _space_for(nranks: int, d: int) -> _Space:
     return _Space(nranks, d)
@@ -210,19 +216,17 @@ def _space_for(nranks: int, d: int) -> _Space:
 
 def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """Decide by complete backtracking whether D has a d-dimensional realizer."""
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got {d}")
+    _check_count("dimension", d)
+    _check_count("budget", budget)
     n = D.n
     if n == 0:
         return SolveOutcome(Verdict.REALIZABLE, Realizer(d, {}), 0)
     if n**d > _SPACE_SIZE_LIMIT:
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
-    weight = [1] * n  # 1 + degree
+    weight = [1 + (out | into).bit_count() for out, into in zip(D.out, D.into)]  # 1 + degree
     need = [[0] * n for _ in range(n)]  # need[u][w]: required sign of margin(w, u)
     for u, v in D.arcs:
-        weight[u] += 1
-        weight[v] += 1
         need[v][u] = 1
         need[u][v] = -1
     noeq = [[False] * n for _ in range(n)]
@@ -320,6 +324,9 @@ def dimension(
     stops the climb and yields bounds instead of a value, never an
     unproven claim.
     """
+    if max_d is not None:
+        _check_count("max_d", max_d)
+    _check_count("budget", budget)
     arc_bound = 2 * len(D.arcs)
     ceiling = arc_bound if max_d is None else min(max_d, arc_bound)
     per_d: list[tuple[int, SolveOutcome]] = []

@@ -17,7 +17,7 @@ from majdim import (
     induced_two_paths,
     verify,
 )
-from majdim.realizer import bits
+from majdim.digraph import bits
 from majdim.solver import _SPACE_SIZE_LIMIT, _space_for
 
 
@@ -73,6 +73,38 @@ def brute_canonical_code(D):
         ";".join(f"{u}>{v}" for u, v in sorted((p[u], p[v]) for u, v in D.arcs))
         for p in itertools.permutations(range(D.n))
     )
+
+
+def naive_is_transitive(D):
+    """(x, z) is an arc for every pair of arcs (x, y), (y, z)."""
+    return all((x, z) in D.arcs for x, y in D.arcs for y2, z in D.arcs if y2 == y)
+
+
+def naive_is_acyclic_tournament(D):
+    """Every vertex pair adjacent and the arc relation transitive: a strict
+    total order."""
+    adjacent = all(
+        (u, v) in D.arcs or (v, u) in D.arcs for u in range(D.n) for v in range(u + 1, D.n)
+    )
+    return adjacent and naive_is_transitive(D)
+
+
+def naive_homogeneous(D, u, v):
+    """u and v have the same out-neighbours and the same in-neighbours."""
+    return all(
+        ((u, w) in D.arcs) == ((v, w) in D.arcs) and ((w, u) in D.arcs) == ((w, v) in D.arcs)
+        for w in range(D.n)
+    )
+
+
+def naive_induced_two_paths(D):
+    """Every (x, y, z) with arcs x -> y -> z, x != z and x, z non-adjacent."""
+    return {
+        (x, y, z)
+        for x, y in D.arcs
+        for y2, z in D.arcs
+        if y2 == y and x != z and (x, z) not in D.arcs and (z, x) not in D.arcs
+    }
 
 
 def random_digraph(rng, n):

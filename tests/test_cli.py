@@ -131,6 +131,46 @@ def test_negative_env_budget_exits_two(capsys, tmp_path, monkeypatch):
     assert code == 2 and out == "" and "nonnegative" in err
 
 
+# Every command that reads files, with a well-formed file in each file slot.
+GOOD_FILES = {
+    "graph.txt": to_edge_list(path(3)),
+    "realizer.json": '{"d": 3, "vectors": {"0": [1,2,3], "1": [3,1,2], "2": [2,0,3]}}',
+    "profile.json": '{"alternatives": 3, "voters": [[3,2,1],[1,3,2],[2,1,3]]}',
+    "points.txt": "1 5\n2 4\n",
+}
+FILE_COMMANDS = [
+    ["verify", "graph.txt", "realizer.json"],
+    ["dim", "graph.txt"],
+    ["condense", "graph.txt"],
+    ["realize", "generic", "-d", "graph.txt"],
+    ["realize", "union", "-d", "graph.txt", "-d", "graph.txt"],
+    ["realize", "condense-lift", "-d", "graph.txt"],
+    ["profile", "margin", "profile.json"],
+    ["profile", "digraph", "profile.json"],
+    ["profile", "to-realizer", "profile.json"],
+    ["profile", "from-realizer", "realizer.json"],
+    ["es", "points.txt"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, slot",
+    [(argv, i) for argv in FILE_COMMANDS for i, arg in enumerate(argv) if arg in GOOD_FILES],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else f"slot{x}",
+)
+def test_non_utf8_file_exits_two(capsys, tmp_path, argv, slot):
+    for name, text in GOOD_FILES.items():
+        write(tmp_path, name, text)
+    paths = [str(tmp_path / arg) if arg in GOOD_FILES else arg for arg in argv]
+    assert run(capsys, *paths)[0] == 0
+    bad = tmp_path / "bin.txt"
+    bad.write_bytes(b"\xff\xfe")
+    paths[slot] = str(bad)
+    code, out, err = run(capsys, *paths)
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 def test_verify_missing_file_exits_two(capsys, tmp_path):
     r = write(tmp_path, "r.json", '{"d": 0, "vectors": {}}')
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"), r)

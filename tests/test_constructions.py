@@ -202,6 +202,13 @@ def test_realize_path_goldens():
         realize_path(0)
 
 
+@pytest.mark.parametrize("construct", [realize_path, realize_cycle, cycle_matrix])
+@pytest.mark.parametrize("n", [3.0, 4.0, True, "4"])
+def test_constructions_reject_non_integer_sizes(construct, n):
+    with pytest.raises(BadParams):
+        construct(n)
+
+
 @pytest.mark.parametrize("n", range(1, 16))
 def test_realize_path_verifies(n):
     f = realize_path(n)

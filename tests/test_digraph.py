@@ -32,7 +32,14 @@ from majdim import (
     to_dot,
     to_edge_list,
 )
-from helpers import random_digraph
+from helpers import (
+    all_labeled_digraphs,
+    naive_homogeneous,
+    naive_induced_two_paths,
+    naive_is_acyclic_tournament,
+    naive_is_transitive,
+    random_digraph,
+)
 
 TT3 = build(3, [(0, 1), (2, 1), (0, 2)])  # transitive tournament, order 0 > 2 > 1
 
@@ -84,6 +91,48 @@ def test_non_integer_vertex_count_rejected(n):
         Digraph(n, frozenset())
 
 
+def small_and_random_digraphs():
+    """Every labeled digraph with n <= 4, then 200 seeded random ones with n <= 8."""
+    for n in range(5):
+        yield from all_labeled_digraphs(n)
+    rng = random.Random(23)
+    for _ in range(200):
+        yield random_digraph(rng, rng.randrange(0, 9))
+
+
+def test_neighbour_rows_match_arcs():
+    for D in small_and_random_digraphs():
+        for u in range(D.n):
+            for v in range(D.n):
+                assert D.out[u] >> v & 1 == ((u, v) in D.arcs)
+                assert D.into[v] >> u & 1 == ((u, v) in D.arcs)
+        assert len(D.out) == len(D.into) == D.n
+
+
+def test_predicates_match_first_principles():
+    for D in small_and_random_digraphs():
+        assert is_transitive(D) == naive_is_transitive(D)
+        assert is_acyclic_tournament(D) == naive_is_acyclic_tournament(D)
+        found = list(induced_two_paths(D))
+        assert len(found) == len(set(found))
+        assert set(found) == naive_induced_two_paths(D)
+
+
+def test_condense_classes_match_first_principles():
+    for D in small_and_random_digraphs():
+        cr = condense(D)
+        for u in range(D.n):
+            same = [v for v in range(D.n) if naive_homogeneous(D, u, v)]
+            assert cr.representative[u] == min(same)
+            assert [v for v in range(D.n) if cr.class_of[v] == cr.class_of[u]] == same
+
+
+def test_neighbour_rows_are_built_on_first_use():
+    D = Digraph(10**9, frozenset())
+    assert to_edge_list(D) == "1000000000\n"
+    assert "out" not in vars(D) and "into" not in vars(D)
+
+
 def test_transitive_examples():
     assert is_transitive(TT3)
     assert not is_transitive(cycle(3))
@@ -120,6 +169,12 @@ def test_induced_examples():
     assert induced(TT3, range(3)) == TT3
     with pytest.raises(VertexOutOfRange):
         induced(TT3, {0, 7})
+
+
+@pytest.mark.parametrize("S", [[1.0, 2], [True, 2], ["1"], [0, 1, True]])
+def test_induced_rejects_non_integer_vertices(S):
+    with pytest.raises(DigraphError):
+        induced(path(3), S)
 
 
 def test_induced_matches_arc_intersection_bruteforce():

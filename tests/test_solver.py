@@ -122,6 +122,26 @@ def test_dimension_budget_exhaustion_reports_bounds():
     assert res.per_d[-1][1].verdict is Verdict.BUDGET_EXCEEDED
 
 
+@pytest.mark.parametrize("d", [True, 2.0, "2", -1])
+def test_is_realizable_rejects_non_integer_dimension(d):
+    with pytest.raises(ValueError):
+        is_realizable(path(3), d)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "5", -1])
+def test_budget_must_be_a_nonnegative_integer(budget):
+    with pytest.raises(ValueError):
+        is_realizable(path(3), 2, budget=budget)
+    with pytest.raises(ValueError):
+        dimension(path(3), budget=budget)
+
+
+@pytest.mark.parametrize("max_d", [2.5, True, "2", -1])
+def test_dimension_rejects_non_integer_max_d(max_d):
+    with pytest.raises(ValueError):
+        dimension(path(3), max_d=max_d)
+
+
 def test_dimension_respects_max_d():
     res = dimension(path(3), max_d=2)
     assert not res.known
