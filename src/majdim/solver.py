@@ -1,8 +1,9 @@
 """Exact realizability search and dimension computation for small digraphs.
 
 The search assigns every vertex a full rank vector in {1..n}^d, one vertex
-at a time.  Ranks lose no generality: any realizer can be rank-compressed
-per coordinate to at most n distinct values.  After each assignment the
+at a time.  Ranks lose no generality: replacing each coordinate's values
+by their ranks 1..k among that coordinate's distinct values keeps every
+comparison, hence every margin, and k <= n.  After each assignment the
 margins against all previously placed vertices are checked exactly, so a
 completed assignment is a realizer by construction and an exhausted tree
 is a proof of non-realizability.
@@ -31,6 +32,30 @@ Pruning, all of it completeness-preserving:
   and shared coordinates with assigned vertices) and gives the next vertex
   an enumerated vector, whichever vertex is next.  By induction over the
   placements the search reaches a realizer whenever one exists.
+* rank compression - only compressed realizers, whose columns each use
+  exactly the values {1..k}, are searched.  In column i let S be the
+  values of the placed vertices, M = max S and gaps = M - |S|.  After a
+  placement every column must keep gaps <= left, the number of vertices
+  still unplaced.  For the next vertex u (left counts the vertices after
+  u) the columns start with gaps <= left + 1.  A value x > M makes gaps
+  x - |S| - 1, a value in S keeps them and a missing value below M lowers
+  them by one.  So with the ceiling t = |S| + 1 + left the allowed values
+  are those <= t (all of them when t >= n), unless the column is tight,
+  M = t, that is gaps = left + 1: then only the values missing from S
+  below M are allowed.  Each placed vertex adds a value to S or repeats
+  one, so t = n - (number of repeats): the search carries one ceiling bit
+  per column down the tree and lowers it by one per repeat, and one
+  cached mask per node applies the rule.  The rule is complete together
+  with column symmetry, under the branch-dependent order: rank-compress
+  any realizer to start the induction.  A column permutation moves each
+  column's value set with it, so it maps a compressed realizer to a
+  compressed one, and the column-symmetry step above carries a compressed
+  realizer that extends the assignment to one that also gives the next
+  vertex an enumerated vector.  Once u takes its vector from that
+  realizer, each value below a column's M that the placed vertices miss
+  is the value of a different unplaced vertex there, so gaps <= left
+  holds and the mask keeps u's vector.  At the last placement left = 0, so every witness is
+  compressed.
 * forward checking - every unassigned vertex keeps its candidate vectors
   as a bitset (a Python int, bit x for vector x), which is intersected
   with the relation row of each newly placed vertex; an empty candidate
@@ -128,6 +153,12 @@ class _Space:
     whose coordinate i equals r or lies below r; every other mask is
     combined from them.  A candidate's relation row is built on first use
     and kept: at most one row per vector, 4 * N bits each for N vectors.
+
+    Per-column sets of values are ints as well, with one field of
+    nranks + 1 bits per column: bit i * (nranks + 1) + r stands for value r
+    in column i, and bit 0 of every field stays clear.  value_bits[x] holds
+    the d values of vectors[x].  The masks that `mask` builds are kept up
+    to 4 * N at a time, no more bits than the rows may hold.
     """
 
     def __init__(self, nranks: int, d: int):
@@ -146,8 +177,15 @@ class _Space:
                                   for r in range(1, nranks + 1)])
             self.below.append([0] + [starts * ((1 << (r - 1) * run) - 1)
                                      for r in range(1, nranks + 1)])
+        self.width = width = nranks + 1
+        self.fields = [((1 << width) - 1) << i * width for i in range(d)]
+        self.value_bits = list(map(sum, itertools.product(
+            *([1 << i * width + r for r in range(1, nranks + 1)] for i in range(d)))))
+        self.top = sum(1 << i * width + nranks for i in range(d))  # every ceiling at nranks
         self._rows: dict[int, tuple[tuple[int, int, int], int]] = {}
         self._sym_masks: dict[int, int] = {}
+        self._tight_fields: dict[int, int] = {}
+        self._masks: dict[tuple[int, int, int], int] = {}
 
     def row(self, c: int) -> tuple[tuple[int, int, int], int]:
         """Relation row of vectors[c]: (signs, neq).
@@ -202,6 +240,37 @@ class _Space:
                 pattern &= ~(1 << i)
         return pattern
 
+    def mask(self, pattern: int, used: int, ceilings: int) -> int:
+        """Set of vectors the next vertex may take under both symmetry rules.
+
+        That is sym_mask(pattern) cut down by rank compression.  used holds
+        the values of each column on the placed vertices, and ceilings one
+        bit per column, at its ceiling t.  Column i allows the values up to
+        t, except that in a tight column (t itself used) the used values
+        are out too.  The key keeps the used values of tight columns only,
+        so it names the mask, not the branch that reached it.
+        """
+        tight = ceilings & used
+        fields = self._tight_fields.get(tight)
+        if fields is None:
+            fields = sum(field for field in self.fields if field & tight)
+            self._tight_fields[tight] = fields
+        key = (pattern, ceilings, used & fields)
+        mask = self._masks.get(key)
+        if mask is None:
+            if len(self._masks) >= 4 * len(self.vectors):
+                self._masks.clear()
+            mask = self.sym_mask(pattern)
+            for i, field in enumerate(self.fields):
+                t = (ceilings & field).bit_length() - 1 - i * self.width
+                if t < self.nranks:
+                    mask &= self.below[i][t + 1]
+            for p in bits(used & fields):
+                i, r = divmod(p, self.width)
+                mask &= ~self.eq[i][r]
+            self._masks[key] = mask
+        return mask
+
 
 def _check_count(name: str, value) -> None:
     """Raise ValueError unless value is a nonnegative `int` (not a bool)."""
@@ -236,15 +305,17 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     order = sorted(range(n), key=lambda v: (-weight[v], v))
 
     above_any = len(space.vectors) + 1  # exceeds every domain size
+    value_bits = space.value_bits
     chosen = [0] * n
     nodes = 0
     budget_hit = False
 
-    def descend(u: int, rest: list[int], doms: list[int], pattern: int) -> bool:
+    def descend(u: int, rest: list[int], doms: list[int], pattern: int, used: int,
+                ceilings: int) -> bool:
         # Place u; rest holds the other unassigned vertices in tie-break order.
         nonlocal nodes, budget_hit
         need_u, noeq_u = need[u], noeq[u]
-        for c in bits(doms[u] & space.sym_mask(pattern)):
+        for c in bits(doms[u] & space.mask(pattern, used, ceilings)):
             if nodes >= budget:
                 budget_hit = True
                 return False
@@ -267,13 +338,19 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                     best, best_size, best_weight = w, size, weight[w]
             else:
                 nxt = [w for w in rest if w != best]
-                if descend(best, nxt, new_doms, space.advance_pattern(pattern, c)):
+                # A repeated value r lies below its column's ceiling t, so
+                # taking bit r from bit t leaves bits r..t-1 in that field
+                # alone; the top one is the lowered ceiling t - 1.
+                vb = value_bits[c]
+                lowered = ceilings - (used & vb)
+                if descend(best, nxt, new_doms, pattern and space.advance_pattern(pattern, c),
+                           used | vb, lowered & ~(lowered >> 1)):
                     return True
             if budget_hit:
                 return False
         return False
 
-    found = descend(order[0], order[1:], [space.full] * n, (1 << max(d - 1, 0)) - 1)
+    found = descend(order[0], order[1:], [space.full] * n, (1 << max(d - 1, 0)) - 1, 0, space.top)
     if found:
         witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
         if not verify(D, witness).valid:

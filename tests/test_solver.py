@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -211,6 +212,58 @@ def test_space_rows_match_naive_margins(nranks, d):
             assert neq >> x & 1 == all(a != b for a, b in zip(vx, vc))
 
 
+@pytest.mark.parametrize("nranks, d", [(1, 2), (3, 0), (3, 1), (4, 2), (3, 3), (2, 4)])
+def test_rank_compression_mask_matches_first_principles(nranks, d):
+    # For every state a search can reach (each column's used values S with
+    # at most left + 1 missing below max S) a vector is allowed exactly when
+    # every column keeps at most left missing values below its maximum
+    # once the vector's value joins S.
+    space = _Space(nranks, d)
+    width = nranks + 1
+    pattern = (1 << max(d - 1, 0)) - 1
+    value_sets = [frozenset(S) for k in range(nranks + 1)
+                  for S in itertools.combinations(range(1, nranks + 1), k)]
+
+    def missing(S):
+        return max(S, default=0) - len(S)
+
+    for sets in itertools.product(value_sets, repeat=d):
+        used = sum(1 << i * width + r for i, S in enumerate(sets) for r in S)
+        for left in range(nranks - max(map(len, sets), default=0)):
+            if any(missing(S) > left + 1 for S in sets):
+                continue
+            ceilings = sum(1 << i * width + len(S) + 1 + left for i, S in enumerate(sets))
+            for free, sym in ((0, space.full), (pattern, space.sym_mask(pattern))):
+                mask = space.mask(free, used, ceilings)
+                for x, vx in enumerate(space.vectors):
+                    expected = sym >> x & 1 and all(
+                        missing(S | {r}) <= left for S, r in zip(sets, vx)
+                    )
+                    assert mask >> x & 1 == expected, (sets, left, free, vx)
+    assert len(space._masks) <= 4 * len(space.vectors)
+
+
+def _is_compressed(witness):
+    columns = zip(*witness.vectors.values())
+    return all(set(col) == set(range(1, len(set(col)) + 1)) for col in columns)
+
+
+def test_every_witness_is_rank_compressed():
+    # At the last placement no vertex is left, so no column may keep a gap.
+    rng = random.Random(61)
+    cases = [(path(n), d) for n in range(2, 9) for d in (2, 3, 4)]
+    cases += [(cycle(n), d) for n in range(3, 9) for d in (2, 3, 4)]
+    cases += [(subset_family(3, 1), d) for d in (3, 4)]
+    cases += [(random_digraph(rng, rng.randrange(1, 7)), d) for _ in range(100) for d in (2, 3, 4)]
+    realizable = 0
+    for D, d in cases:
+        out = is_realizable(D, d)
+        if out.verdict is Verdict.REALIZABLE:
+            realizable += 1
+            assert _is_compressed(out.witness), (D.n, sorted(D.arcs), d, out.witness)
+    assert realizable > len(cases) // 2
+
+
 def test_solver_nodes_are_deterministic():
     a = is_realizable(cycle(4), 3)
     b = is_realizable(cycle(4), 3)
@@ -221,12 +274,12 @@ def test_solver_nodes_are_deterministic():
 @pytest.mark.parametrize(
     "D, d, nodes",
     [
-        (path(5), None, [0, 0, 57, 24]),
-        (path(6), None, [0, 0, 104, 11460, 68]),
-        (cycle(5), None, [0, 0, 57, 1903, 147]),
-        (cycle(6), None, [0, 0, 104, 10444, 68]),
-        (path(8), 4, [12576]),
-        (path(9), 4, [18595]),
+        (path(5), None, [0, 0, 51, 24]),
+        (path(6), None, [0, 0, 94, 4428, 68]),
+        (cycle(5), None, [0, 0, 51, 948, 103]),
+        (cycle(6), None, [0, 0, 94, 4233, 68]),
+        (path(8), 4, [4682]),
+        (path(9), 4, [8584]),
     ],
     ids=["path5", "path6", "cycle5", "cycle6", "path8-d4", "path9-d4"],
 )
