@@ -265,29 +265,6 @@ def _arc_code(arcs) -> str:
     return ";".join(f"{u}>{v}" for u, v in sorted(arcs))
 
 
-def _sweep_digraphs(n: int, dedup: bool):
-    """Yield (code, D) for the digraphs on n vertices that `sweep` reports.
-
-    One walk over the 3^C states of the C vertex pairs u < v, in
-    itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  A digraph
-    not yet seen comes coded by the least arc code over its relabelings,
-    which are all marked seen: with dedup the n! permutations, so only the
-    first member of each isomorphism class comes, and without it only the
-    identity.  `sweep` caps n at 5, so labels are one digit and the least
-    code is the code of the least sorted arc list.
-    """
-    pairs = list(itertools.combinations(range(n), 2))
-    perms = list(itertools.permutations(range(n))) if dedup else [tuple(range(n))]
-    seen: set[frozenset[tuple[int, int]]] = set()
-    for states in itertools.product(range(3), repeat=len(pairs)):
-        arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
-        if frozenset(arcs) in seen:
-            continue
-        images = [sorted((perm[u], perm[v]) for u, v in arcs) for perm in perms]
-        seen.update(map(frozenset, images))
-        yield _arc_code(min(images)), build(n, arcs)
-
-
 def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRow:
     # Search at every d, so the dim0/dim1 summary flags compare the search
     # with the characterizations that `dimension` would otherwise shortcut to.
@@ -310,15 +287,47 @@ def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRo
     return row
 
 
+def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
+    """Yield the SweepRow of each digraph on n vertices that `sweep` reports.
+
+    One walk over the 3^C states of the C vertex pairs u < v, in
+    itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  The first
+    member of an isomorphism class to come up is the only one searched:
+    its row is stored under all n! relabelings of its arc set.  Every
+    field of a row except `digraph_code` is an isomorphism invariant
+    (relabeling the vertices of a realizer realizes the relabeled
+    digraph, and the predicates and the condensation commute with
+    relabeling), so a later member is given its class's row under its own
+    arc code.  With dedup only first members come, coded by the least arc
+    code over their relabelings; `sweep` caps n at 5, so labels are one
+    digit and the least code is the code of the least sorted arc list.
+
+    Node counts do depend on the labeling, so under a budget too small to
+    finish a level every member reports its first member's bounds: the
+    rows of isomorphic digraphs are equal, as dedup assumes.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    class_row: dict[frozenset[tuple[int, int]], SweepRow] = {}
+    for states in itertools.product(range(3), repeat=len(pairs)):
+        arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+        row = class_row.get(frozenset(arcs))
+        if row is None:
+            images = [sorted((perm[u], perm[v]) for u, v in arcs) for perm in perms]
+            row = _sweep_row(build(n, arcs), _arc_code(min(images) if dedup else arcs),
+                             budget, max_d)
+            class_row.update(dict.fromkeys(map(frozenset, images), row))
+            yield row
+        elif not dedup:
+            yield dataclasses.replace(row, digraph_code=_arc_code(arcs))
+
+
 def _cmd_sweep(args) -> int:
     n = args.n
     limit = 5 if args.dedup else 4
     if not (0 <= n <= limit):
         raise ParseError(f"sweep supports n <= {limit} {'with' if args.dedup else 'without'} --dedup")
-    rows = [
-        _sweep_row(D, code, args.budget, args.max_d)
-        for code, D in _sweep_digraphs(n, args.dedup)
-    ]
+    rows = list(_sweep_rows(n, args.dedup, args.budget, args.max_d))
 
     fields = [field.name for field in dataclasses.fields(SweepRow)]
     if args.csv:

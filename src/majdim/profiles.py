@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .digraph import Digraph, bits
-from .realizer import Realizer, margin_rows, reject_repeated_keys
+from .realizer import Realizer, margin_rows, strict_json_loads
 
 
 class ProfileError(ValueError):
@@ -124,7 +124,7 @@ def profile_to_json(R: Profile) -> str:
 
 
 def profile_from_json(text: str) -> Profile:
-    data = json.loads(text, object_pairs_hook=reject_repeated_keys(ProfileError))
+    data = strict_json_loads(text, ProfileError)
     if not isinstance(data, dict) or "alternatives" not in data or "voters" not in data:
         raise ProfileError("profile JSON needs 'alternatives' and 'voters' fields")
     try:

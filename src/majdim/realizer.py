@@ -209,11 +209,12 @@ def extend_dims(f: Realizer, r: int) -> Realizer:
 # keys; emission orders keys numerically so output is byte-stable.
 
 
-def reject_repeated_keys(error: type[ValueError]):
-    """A json.loads object_pairs_hook that raises `error` on a repeated key.
+def strict_json_loads(text: str, error: type[ValueError]):
+    """json.loads that raises `error` on a repeated key and on an integer
+    longer than int() converts (sys.get_int_max_str_digits() digits).
 
     Plain json.loads keeps the last of two equal keys and drops the other
-    value without a word.
+    value without a word, and raises a bare ValueError for the long integer.
     """
 
     def hook(pairs: list[tuple[str, object]]) -> dict:
@@ -224,7 +225,12 @@ def reject_repeated_keys(error: type[ValueError]):
             raise error(f"JSON object repeats key(s) {repeated}")
         return obj
 
-    return hook
+    try:
+        return json.loads(text, object_pairs_hook=hook)
+    except (json.JSONDecodeError, error):
+        raise
+    except ValueError as exc:
+        raise error(f"JSON number not readable: {exc}") from None
 
 
 def realizer_to_json(f: Realizer) -> str:
@@ -233,7 +239,7 @@ def realizer_to_json(f: Realizer) -> str:
 
 
 def realizer_from_json(text: str) -> Realizer:
-    data = json.loads(text, object_pairs_hook=reject_repeated_keys(RealizerError))
+    data = strict_json_loads(text, RealizerError)
     if not isinstance(data, dict) or "d" not in data or "vectors" not in data:
         raise RealizerError("realizer JSON needs 'd' and 'vectors' fields")
     try:

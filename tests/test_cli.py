@@ -1,13 +1,21 @@
+import contextlib
+import hashlib
+import io
+import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majdim import (
     Profile,
+    build,
     from_edge_list,
     cycle,
     majority_margin,
@@ -16,7 +24,8 @@ from majdim import (
     to_edge_list,
     verify,
 )
-from majdim.cli import _sweep_digraphs, main
+from majdim import cli, solver
+from majdim.cli import _sweep_row, _sweep_rows, main
 
 from helpers import all_labeled_digraphs, brute_canonical_code
 
@@ -94,9 +103,12 @@ def test_verify_malformed_edge_list_exits_two(capsys, tmp_path):
         ("profile", '{"alternatives": 2, "voters": [["abc", 1]]}'),
         ("verify", '{"d": 1, "vectors": {"0": [2], "0": [0], "1": [1]}}'),
         ("profile", '{"alternatives": 2, "voters": [[2, 1]], "voters": [[1, 2]]}'),
+        # Longer than int() converts (sys.get_int_max_str_digits()).
+        ("verify", '{"d": 1, "vectors": {"0": [' + "9" * 5000 + '], "1": [1]}}'),
+        ("profile", '{"alternatives": 2, "voters": [[1, ' + "9" * 5000 + ']]}'),
     ],
     ids=["float-coordinate", "string-coordinate", "string-d", "float-rank", "string-rank",
-         "repeated-vertex-key", "repeated-voters-key"],
+         "repeated-vertex-key", "repeated-voters-key", "long-coordinate", "long-rank"],
 )
 def test_non_integer_json_values_exit_two(capsys, tmp_path, command, text):
     data = write(tmp_path, "data.json", text)
@@ -318,17 +330,103 @@ def test_sweep_dedup_counts_isomorphism_classes(capsys):
     assert len(lines) - 1 == 7  # classes on 3 vertices
 
 
+def _code(D):
+    return ";".join(f"{u}>{v}" for u, v in D.sorted_arcs())
+
+
+def _from_code(n, code):
+    return build(n, [tuple(map(int, arc.split(">"))) for arc in code.split(";") if arc])
+
+
 @pytest.mark.parametrize("n, classes", [(0, 1), (1, 1), (2, 2), (3, 7), (4, 42)])
-def test_sweep_digraphs_match_brute_force(n, classes):
+def test_sweep_digraphs_match_brute_force(monkeypatch, n, classes):
+    searched = []
+
+    def recording_row(D, code, budget, max_d):
+        searched.append((code, D))
+        return _sweep_row(D, code, budget, max_d)
+
+    monkeypatch.setattr(cli, "_sweep_row", recording_row)
     labeled = list(all_labeled_digraphs(n))
-    assert list(_sweep_digraphs(n, dedup=False)) == [
-        (";".join(f"{u}>{v}" for u, v in D.sorted_arcs()), D) for D in labeled
-    ]
     first_of_class = {}
     for D in labeled:
         first_of_class.setdefault(brute_canonical_code(D), D)
     assert len(first_of_class) == classes
-    assert list(_sweep_digraphs(n, dedup=True)) == list(first_of_class.items())
+
+    # The plain walk reports every labeled digraph under its own code, in
+    # order, but searches only the first member of each class.
+    rows = list(_sweep_rows(n, False, solver.DEFAULT_BUDGET, None))
+    assert [row.digraph_code for row in rows] == [_code(D) for D in labeled]
+    assert searched == [(_code(D), D) for D in first_of_class.values()]
+
+    searched.clear()
+    rows = list(_sweep_rows(n, True, solver.DEFAULT_BUDGET, None))
+    assert searched == list(first_of_class.items())
+    assert [row.digraph_code for row in rows] == list(first_of_class)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_sweep_rows_match_direct_search_of_every_labeled_digraph(n):
+    rows = list(_sweep_rows(n, False, solver.DEFAULT_BUDGET, None))
+    assert rows == [
+        _sweep_row(D, _code(D), solver.DEFAULT_BUDGET, None) for D in all_labeled_digraphs(n)
+    ]
+
+
+@pytest.mark.parametrize("argv", [["sweep", "4"], ["sweep", "4", "--dedup"]])
+def test_sweep_searches_each_isomorphism_class_once(capsys, monkeypatch, argv):
+    calls = []
+    real_dimension = solver.dimension
+
+    def counting_dimension(*args, **kwargs):
+        calls.append(args[0])
+        return real_dimension(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dimension", counting_dimension)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == 42
+
+
+def test_sweep_under_small_budget_gives_isomorphic_digraphs_equal_rows(capsys):
+    code, out, _ = run(capsys, "sweep", "3", "--budget", "3")
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert len(rows) == 27 and any(row["dimension"] is None for row in rows)
+    by_class = {}
+    for row in rows:
+        D = _from_code(3, row.pop("digraph_code"))
+        by_class.setdefault(brute_canonical_code(D), []).append(row)
+    assert len(by_class) == 7
+    for members in by_class.values():
+        assert all(row == members[0] for row in members)
+
+
+# sha256 of stdout and the exit code of sweeps whose bytes must not change.
+SWEEP_DIGESTS = {
+    "sweep 0": (0, "6830b2b4dc2ce88f796ce729ee8a64727ecc06ce9219dfadcc925f0733f96bb0"),
+    "sweep 1": (0, "3304ddc7db2dcebe71f74a139795af3681e6a97cff353d541ff92b699980d1ec"),
+    "sweep 2": (0, "7d2e814c8e846bc6800b6cf5058f592da21a831ea0976aba9a5b278f03af7d01"),
+    "sweep 3": (0, "8efecd68ef769380d3cb6d91c561310dc0516c29a832daa127a598f0556ff214"),
+    "sweep 4": (0, "34527f62812060455d0ed8f772d1fcdf9322c0e3a42d8531e4942e55cb4eb77a"),
+    "sweep 0 --dedup": (0, "6830b2b4dc2ce88f796ce729ee8a64727ecc06ce9219dfadcc925f0733f96bb0"),
+    "sweep 1 --dedup": (0, "3304ddc7db2dcebe71f74a139795af3681e6a97cff353d541ff92b699980d1ec"),
+    "sweep 2 --dedup": (0, "f7234e7618d54f388d35cfb29cf4a40e8ea312148685adfa7ac067760035e144"),
+    "sweep 3 --dedup": (0, "d96078365981adb7d47e36145fe848560535d113b976d2bf4bff3982d6f7d44f"),
+    "sweep 4 --dedup": (0, "31285817d79ec0bf988e1014d17d04c09efe68635d708e0d8a3b5d60827a7de5"),
+    "sweep 5 --dedup": (0, "89581f8352d34ec5682dea74c803991f16e1f0b3f42b4c0861f4b5ecbffa8c85"),
+    "sweep 3 --csv": (0, "178ccdb7c7e6e259332e74479d612fa120949e7a61a1b86d14da2634ca379b42"),
+    "sweep 4 --dedup --csv": (0, "43159f9632829394f8ff616eb3a21959f83ee3cee77400128a965568c06ae5fc"),
+}
+
+
+def _digest(code, out):
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [c for c in SWEEP_DIGESTS if c != "sweep 5 --dedup"])
+def test_sweep_output_digests(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert _digest(code, out) == SWEEP_DIGESTS[command]
 
 
 def test_sweep_five_dedup(capsys):
@@ -339,6 +437,7 @@ def test_sweep_five_dedup(capsys):
     assert len(lines) - 1 == summary["rows"] == 582
     assert summary["histogram"] == {"0": 1, "1": 15, "2": 47, "3": 514, "4": 5}
     assert all(v for k, v in summary.items() if k.startswith("dim"))
+    assert _digest(code, out) == SWEEP_DIGESTS["sweep 5 --dedup"]
 
 
 def test_sweep_decides_low_dimensions_by_search(capsys, monkeypatch):
@@ -432,3 +531,155 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["dimension"] == 3
+
+
+# --- fuzz guard over every command -----------------------------------------
+#
+# Well-formed files have at most five vertices and every integer is small,
+# so no example searches past five vertices or builds more than a few
+# thousand vertices.  Derandomized, so tier-1 sees the same 250 examples.
+
+_TOKENS = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.sampled_from(["x", "1.5", "0x1", "+2", "٣", "", "-", "#", "1e3"]),
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=6).map("\n".join)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(), st.text(max_size=3)
+).map(json.dumps)
+_KEYS = st.one_of(
+    st.sampled_from(["d", "vectors", "alternatives", "voters", "0", "1", "2", "01", "-1"]),
+    st.text(max_size=2),
+)
+
+
+def _json_object(items):
+    # Built as text, so a key can repeat.
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in items) + "}"
+
+
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+        st.lists(st.tuples(_KEYS, kids), max_size=4).map(_json_object),
+    ),
+    max_leaves=12,
+)
+_ANY_FILE = st.one_of(_LINES.map(str.encode), _JSON.map(str.encode), st.binary(max_size=12))
+
+
+def _file_strategy(kind, n):
+    """Bytes for a file slot: mostly well-formed for its kind, else anything."""
+    small = st.integers(-1, 5)
+    if kind == "graph":
+        pairs = list(itertools.combinations(range(n), 2))
+        good = st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)).map(
+            lambda states: f"{n}\n" + "".join(
+                f"{u} {v}\n" if s == 1 else f"{v} {u}\n"
+                for (u, v), s in zip(pairs, states) if s))
+    elif kind == "points":
+        good = st.lists(st.tuples(small, small), max_size=8).map(
+            lambda points: "".join(f"{x} {y}\n" for x, y in points))
+    elif kind == "realizer":
+        good = st.integers(0, 3).flatmap(lambda d: st.lists(
+            st.lists(small, min_size=d, max_size=d), min_size=n, max_size=n,
+        ).map(lambda vectors: _json_object([
+            ("d", str(d)),
+            ("vectors", _json_object([(str(v), json.dumps(x)) for v, x in enumerate(vectors)])),
+        ])))
+    else:
+        good = st.lists(st.lists(small, min_size=n, max_size=n), max_size=4).map(
+            lambda voters: _json_object([("alternatives", str(n)),
+                                         ("voters", json.dumps(voters))]))
+    # Listed twice, so about two files in three are well-formed.
+    return st.one_of(good.map(str.encode), good.map(str.encode), _ANY_FILE)
+
+
+_SMALL = st.integers(-2, 12).map(str)
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, files): one command line and the bytes of each file it names."""
+    n = draw(st.integers(0, 5))
+    files = []
+
+    def file(kind):
+        files.append(draw(_file_strategy(kind, n)))
+        return f"{{{len(files) - 1}}}"
+
+    def flags(*names):
+        return [name for name in names if draw(st.booleans())]
+
+    def number(flag):
+        return [flag, draw(_SMALL)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(
+        ["gen", "verify", "realize", "dim", "condense", "sweep", "profile", "es"]))
+    if command == "gen":
+        family = draw(st.sampled_from(["empty", "path", "cycle", "tournament",
+                                       "single-arc", "subset-family", "bogus"]))
+        arity = 2 if family == "subset-family" else 1
+        params = draw(st.lists(_SMALL, min_size=arity, max_size=arity) | st.lists(_SMALL))
+        argv = [family, *params, *flags("--dot")]
+    elif command == "verify":
+        argv = [file("graph"), file("realizer")]
+    elif command == "realize":
+        method = draw(st.sampled_from(["path", "cycle", "tournament", "empty", "generic",
+                                       "union", "condense-lift", "bogus"]))
+        if method in ("generic", "union", "condense-lift"):
+            argv = [method]
+            for _ in range(draw(st.integers(1, 3))):
+                argv += ["-d", file("graph")]
+        else:
+            argv = [method, draw(st.integers(-2, 40).map(str))]
+    elif command == "dim":
+        argv = [file("graph"), *number("--max-d"), *number("--budget")]
+    elif command == "condense":
+        argv = [file("graph"), *flags("--dot")]
+    elif command == "sweep":
+        size = draw(st.integers(-1, 6))
+        dedup = ["--dedup"] if size != 5 and draw(st.booleans()) else []
+        argv = [str(size), *dedup, *flags("--csv"), *number("--max-d"), *number("--budget")]
+    elif command == "profile":
+        sub = draw(st.sampled_from(["margin", "digraph", "to-realizer", "from-realizer"]))
+        argv = [sub, file("realizer" if sub == "from-realizer" else "profile")]
+    else:
+        argv = [file("points")]
+    junk = draw(st.sampled_from([None] * 12 + ["--bogus", "--dot", "--budget", "-d"]))
+    return [command, *argv, *filter(None, [junk])], files
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(command=_command_lines(),
+       env_budget=st.sampled_from([None] * 4 + ["-1", "x", "40", "100000"]))
+def test_cli_fuzz_exit_codes(command, env_budget):
+    argv, files = command
+    saved = os.environ.pop("MAJDIM_BUDGET", None)
+    if env_budget is not None:
+        os.environ["MAJDIM_BUDGET"] = env_budget
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, data in enumerate(files):
+                paths.append(os.path.join(tmp, f"f{i}"))
+                with open(paths[-1], "wb") as fh:
+                    fh.write(data)
+            argv = [arg.format(*paths) for arg in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the command line
+                    code = exc.code
+    finally:
+        os.environ.pop("MAJDIM_BUDGET", None)
+        if saved is not None:
+            os.environ["MAJDIM_BUDGET"] = saved
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert [json.loads(line) for line in out.getvalue().splitlines()]
+    if code == 2:
+        assert "error" in err.getvalue()
