@@ -50,7 +50,7 @@ from .realizer import (
     Violation,
     extend_dims,
     margin,
-    margin_rows,
+    margin_lanes,
     normalize,
     realizer_from_json,
     realizer_to_json,
@@ -96,6 +96,7 @@ from .profiles import (
     ZeroDimension,
     majority_digraph,
     majority_margin,
+    majority_margins,
     profile_from_json,
     profile_to_json,
     profile_to_realizer,

@@ -29,7 +29,6 @@ from .digraph import (
     DigraphError,
     EdgeListError,
     acyclic_tournament,
-    bits,
     build,
     condense,
     cycle,
@@ -40,6 +39,7 @@ from .digraph import (
     has_induced_two_path,
     is_acyclic_tournament,
     is_transitive,
+    parse_int,
     path,
     to_dot,
     to_edge_list,
@@ -47,7 +47,6 @@ from .digraph import (
 from .realizer import (
     Realizer,
     RealizerError,
-    margin_rows,
     realizer_from_json,
     realizer_to_json,
     verify,
@@ -67,7 +66,7 @@ def _default_budget() -> int:
     if raw is None:
         return solver.DEFAULT_BUDGET
     try:
-        budget = int(raw)
+        budget = parse_int(raw)
     except ValueError:
         raise ParseError(f"MAJDIM_BUDGET is not an integer: {raw!r}")
     if budget < 0:
@@ -75,12 +74,17 @@ def _default_budget() -> int:
     return budget
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for --budget and --max-d: a negative value is an input error."""
+def _int(text: str) -> int:
+    """argparse type for integer arguments: ASCII decimal digits only."""
     try:
-        value = int(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --budget and --max-d: a negative value is an input error."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -124,7 +128,7 @@ def _load_points(path_str: str) -> list[tuple[int, int]]:
         if len(fields) != 2:
             raise ParseError(f"{path_str}:{lineno}: expected 'x y', got {raw!r}")
         try:
-            points.append((int(fields[0]), int(fields[1])))
+            points.append((parse_int(fields[0]), parse_int(fields[1])))
         except ValueError:
             raise ParseError(f"{path_str}:{lineno}: bad point {raw!r}")
     return points
@@ -370,15 +374,8 @@ def _cmd_profile(args) -> int:
         return 0
     R = _load_profile(args.file)
     if sub == "margin":
-        m = R.alternatives
-        margins = [[0] * m for _ in range(m)]
-        for a, row in enumerate(margin_rows(list(zip(*R.voters)))):
-            for g, s in row.items():
-                if g:
-                    for b in bits(s):
-                        margins[a][b] = g
-                        margins[b][a] = -g
-        print(json.dumps({"alternatives": m, "margins": margins}))
+        margins = profiles.majority_margins(R)
+        print(json.dumps({"alternatives": R.alternatives, "margins": margins}))
         return 0
     if sub == "digraph":
         D = profiles.majority_digraph(R)
@@ -410,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a named digraph family as an edge list")
     p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("params", nargs="+", type=int)
+    p.add_argument("params", nargs="+", type=_int)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of an edge list")
     p.set_defaults(func=_cmd_gen)
 
@@ -424,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "method",
         choices=["path", "cycle", "tournament", "empty", "generic", "union", "condense-lift"],
     )
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("params", nargs="*", type=_int)
     p.add_argument("--digraph", "-d", action="append", default=[], metavar="FILE")
     p.set_defaults(func=_cmd_realize)
 
@@ -440,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_condense)
 
     p = sub.add_parser("sweep", help="dimensions of every labeled digraph on n vertices")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--max-d", type=_nonnegative_int, default=None)
     p.add_argument("--budget", type=_nonnegative_int, default=None)
     p.add_argument("--dedup", action="store_true", help="one row per isomorphism class")

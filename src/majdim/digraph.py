@@ -16,6 +16,7 @@ search all read their neighbourhoods from these rows.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,22 @@ class BadParams(DigraphError):
 
 class EdgeListError(ValueError):
     """Malformed edge-list text."""
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer that text writes in ASCII decimal digits, with an
+    optional sign.
+
+    int() also reads Unicode digits, underscores between digits and
+    surrounding whitespace; here those raise ValueError, as does anything
+    int() itself refuses.
+    """
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def bits(mask: int):
@@ -317,14 +334,14 @@ def from_edge_list(text: str) -> Digraph:
             if len(fields) != 1:
                 raise EdgeListError(f"line {lineno}: expected vertex count, got {raw!r}")
             try:
-                n = int(fields[0])
+                n = parse_int(fields[0])
             except ValueError:
                 raise EdgeListError(f"line {lineno}: bad vertex count {fields[0]!r}")
             continue
         if len(fields) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
-            arcs.append((int(fields[0]), int(fields[1])))
+            arcs.append((parse_int(fields[0]), parse_int(fields[1])))
         except ValueError:
             raise EdgeListError(f"line {lineno}: bad arc {raw!r}")
     if n is None:

@@ -15,10 +15,11 @@ preference counts enter the margin, which is why ties are harmless.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .digraph import Digraph, bits
-from .realizer import Realizer, margin_rows, strict_json_loads
+from .realizer import Realizer, lane_signs, margin_lanes, strict_json_loads
 
 
 class ProfileError(ValueError):
@@ -38,7 +39,8 @@ class Profile:
     """Voter rank lists over alternatives 0..alternatives-1.
 
     The alternative count and every rank must be `int`; floats, strings
-    and booleans raise ProfileError rather than being coerced.
+    and booleans raise ProfileError rather than being coerced.  The count
+    may not exceed sys.maxsize, the most items any sequence can hold.
     """
 
     alternatives: int
@@ -49,6 +51,8 @@ class Profile:
             raise ProfileError(f"alternative count must be an integer, got {self.alternatives!r}")
         if self.alternatives < 0:
             raise ProfileError(f"negative alternative count {self.alternatives}")
+        if self.alternatives > sys.maxsize:
+            raise ProfileError(f"alternative count {self.alternatives} exceeds sys.maxsize")
         voters = tuple(tuple(voter) for voter in self.voters)
         for i, voter in enumerate(voters):
             if any(type(r) is not int for r in voter):
@@ -75,17 +79,35 @@ def majority_digraph(R: Profile) -> Digraph:
     positive.  Antisymmetry of the margin keeps the underlying graph
     simple.
 
-    The margins come from margin_rows on the transposed voters, one vector
-    per alternative.  Without voters there are no vectors and no rows,
-    which is right: every margin is 0."""
-    arcs = []
-    for a, row in enumerate(margin_rows(list(zip(*R.voters)))):
-        for g, s in row.items():
-            if g > 0:
-                arcs.extend((a, b) for b in bits(s))
-            elif g < 0:
-                arcs.extend((b, a) for b in bits(s))
+    The margins come from margin_lanes on the transposed voters, one
+    vector per alternative, and the arcs out of a are the positive lanes
+    of a's row.  Without voters every margin is 0 and there are no arcs,
+    which is answered without building a lane per alternative."""
+    d = len(R.voters)
+    if not d:
+        return Digraph(R.alternatives, frozenset())
+    w, rows = margin_lanes(list(zip(*R.voters)))
+    guard, gt, _ = lane_signs(R.alternatives, d, w)
+    arcs = [(a, bit // w) for a, row in enumerate(rows) for bit in bits(row + gt & guard)]
     return Digraph(R.alternatives, frozenset(arcs))
+
+
+def majority_margins(R: Profile) -> list[list[int]]:
+    """The matrix of majority_margin(R, a, b), row a, column b.
+
+    Lane b of margin_lanes' row a holds d + margin(a, b) in w bits, and
+    lane 0 is the last w digits of the row written in binary, so each
+    row is decoded from one binary string.  Without voters every margin
+    is 0."""
+    m, d = R.alternatives, len(R.voters)
+    if not d:
+        return [[0] * m for _ in range(m)]
+    w, rows = margin_lanes(list(zip(*R.voters)))
+    margins = []
+    for row in rows:
+        digits = format(row, f"0{m * w}b")
+        margins.append([int(digits[i:i + w], 2) - d for i in range((m - 1) * w, -1, -w)])
+    return margins
 
 
 def realizer_to_profile(f: Realizer) -> Profile:

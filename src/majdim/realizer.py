@@ -10,12 +10,20 @@ per-coordinate order, so any real-valued assignment can be rank-compressed
 to integers without changing a single comparison; integer coordinates make
 equality tests exact.  Dimension 0 is legal: every vertex maps to the empty
 vector and all margins are 0.
+
+All pairwise margins of n vectors come from one kernel, `margin_lanes`:
+vertex u gets one Python int of n counters, w bits each, and one pass per
+coordinate adds to it u's wins and ties against every other vertex at
+once (SIMD within a register).  `verify`, the majority digraph and the
+margin matrix of a profile read their signs or values from these lanes.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .digraph import Digraph, bits
@@ -56,7 +64,8 @@ class Realizer:
     """Map from vertices to d-dimensional integer vectors.
 
     d, the vertex keys and the coordinates must be `int`; floats, strings
-    and booleans raise RealizerError rather than being coerced.
+    and booleans raise RealizerError rather than being coerced.  d may not
+    exceed sys.maxsize, the most items any sequence can hold.
     """
 
     d: int
@@ -67,6 +76,8 @@ class Realizer:
             raise RealizerError(f"dimension must be an integer, got {self.d!r}")
         if self.d < 0:
             raise BadDimension(f"dimension must be nonnegative, got {self.d}")
+        if self.d > sys.maxsize:
+            raise BadDimension(f"dimension {self.d} exceeds sys.maxsize")
         vecs = {v: tuple(vec) for v, vec in self.vectors.items()}
         for v, vec in vecs.items():
             if type(v) is not int or any(type(c) is not int for c in vec):
@@ -97,51 +108,56 @@ class VerifyReport:
     violations: tuple[Violation, ...]
 
 
-def margin_rows(vectors: Sequence[Sequence[int]]):
-    """Yield, for each u in order, {m: set of v > u with margin(vectors[u],
-    vectors[v]) == m} over the nonempty margins m; sets are bitsets (bit v).
+def margin_lanes(vectors: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """All pairwise margins of the vectors, packed w bits to a lane.
 
-    One sort per coordinate gives every u the set of vectors below it and
-    the set below or equal to it there.  Row u starts with all v > u at
-    margin 0, and each coordinate moves every live margin set down, across
-    or up.  The live sets partition the v > u, so a row holds at most
-    min(2d + 1, n - u - 1) of them, and rows are built one at a time.
+    Returns (w, rows): lane v of rows[u], bits v*w .. v*w + w - 1, holds
+    d + margin(vectors[u], vectors[v]), a value in 0..2d, and
+    w = (2d).bit_length() + 1 keeps the top bit of every lane clear.
+
+    Each coordinate is one column pass.  The vertices tied at a value are
+    summed as one int of unit lanes, one walk over the sorted values gives
+    each value the step 2*below + eq, and every row adds the step of its
+    own value.  Lane v of u's step is 2, 1 or 0 as v lies below, level
+    with or above u there, so after d passes it holds 2*wins + ties =
+    d + wins - losses.  The cost is d*(n + #distinct values) dict and
+    list steps plus d*n additions of n*w-bit ints.
     """
-    n = len(vectors)
     lengths = set(map(len, vectors))
     if len(lengths) > 1:
         raise DimensionMismatch(f"vector lengths differ: {sorted(lengths)}")
-    # cols[i][u] = (vectors below u, vectors below or equal to u) in coordinate i.
-    cols = []
+    d = lengths.pop() if lengths else 0
+    w = (2 * d).bit_length() + 1
+    units = [1 << v * w for v in range(len(vectors))]
+    rows = [0] * len(vectors)
     for col in zip(*vectors):
-        tied: dict[int, int] = {}
-        for v, value in enumerate(col):
-            tied[value] = tied.get(value, 0) | 1 << v
+        step: dict[int, int] = {}
+        for value, unit in zip(col, units):
+            if value in step:
+                step[value] |= unit
+            else:
+                step[value] = unit
         below = 0
-        masks = {}
-        for value in sorted(tied):
-            masks[value] = below, below | tied[value]
-            below |= tied[value]
-        cols.append([masks[value] for value in col])
-    later = (1 << n) - 1
-    for u in range(n):
-        later >>= 1
-        levels = {0: later << u + 1} if later else {}
-        for masks in cols:
-            lt, le = masks[u]
-            moved: dict[int, int] = {}
-            for m, s in levels.items():
-                up = s & lt
-                if up:
-                    moved[m + 1] = moved.get(m + 1, 0) | up
-                across = s & le ^ up
-                if across:
-                    moved[m] = moved.get(m, 0) | across
-                down = s ^ up ^ across
-                if down:
-                    moved[m - 1] = moved.get(m - 1, 0) | down
-            levels = moved
-        yield levels
+        for value in sorted(step):
+            eq = step[value]
+            step[value] = below << 1 | eq
+            below |= eq
+        rows = list(map(add, rows, map(step.__getitem__, col)))
+    return w, rows
+
+
+def lane_signs(n: int, d: int, w: int) -> tuple[int, int, int]:
+    """(guard, gt, ge) for n lanes of w bits that hold d + margin.
+
+    guard has the top bit of every lane.  (row + gt) & guard keeps the
+    guard bits of the lanes whose margin is positive, (row + ge) & guard
+    those whose margin is nonnegative: the lane value d + m reaches the
+    top bit, 2^(w-1) > 2d, exactly when m > 0 (m >= 0), and never carries
+    into the next lane.
+    """
+    top = 1 << w - 1
+    ones = ((1 << n * w) - 1) // ((1 << w) - 1)
+    return top * ones, (top - 1 - d) * ones, (top - d) * ones
 
 
 def verify(D: Digraph, f: Realizer) -> VerifyReport:
@@ -149,24 +165,32 @@ def verify(D: Digraph, f: Realizer) -> VerifyReport:
 
     For every pair u < v the margin of f(u) against f(v) must be positive
     when (u, v) is an arc, negative when (v, u) is, and zero otherwise.
-    The margins come row by row from margin_rows and are compared with
-    the digraph's out- and in-neighbour rows; only the pairs whose margin
-    has the wrong sign become Violations, in (u, v) order.
+    The margins come from margin_lanes; each row's positive and negative
+    lanes are compared at once with the lanes of u's out- and
+    in-neighbours, and only the lanes v > u whose margin has the wrong
+    sign are decoded into Violations, in (u, v) order.
     """
     for v in range(D.n):
         if v not in f.vectors:
             raise MissingVertex(f"no vector for vertex {v}")
+    w, rows = margin_lanes([f.vectors[v] for v in range(D.n)])
+    guard, gt, ge = lane_signs(D.n, f.d, w)
+    top = 1 << w - 1
+    win = [0] * D.n
+    loss = [0] * D.n
+    for u, v in D.arcs:
+        win[u] |= top << v * w
+        loss[v] |= top << u * w
+    lane = (1 << w) - 1
     violations: list[Violation] = []
-    rows = margin_rows([f.vectors[v] for v in range(D.n)])
-    for u, (row, win, loss) in enumerate(zip(rows, D.out, D.into)):
-        wrong = []
-        for m, s in row.items():
-            bad = s & ~win if m > 0 else s & ~loss if m < 0 else s & (win | loss)
-            if bad:
-                wrong.extend((v, m) for v in bits(bad))
-        for v, m in sorted(wrong):
-            expected = "u>v" if win >> v & 1 else "v>u" if loss >> v & 1 else "tie"
-            violations.append(Violation(u, v, expected, m))
+    for u, row in enumerate(rows):
+        pos = row + gt & guard
+        neg = row + ge & guard ^ guard
+        bad = (pos ^ win[u] | neg ^ loss[u]) >> (u + 1) * w
+        for bit in bits(bad):
+            v = u + 1 + bit // w
+            expected = "u>v" if D.out[u] >> v & 1 else "v>u" if D.into[u] >> v & 1 else "tie"
+            violations.append(Violation(u, v, expected, (row >> v * w & lane) - f.d))
     return VerifyReport(not violations, tuple(violations))
 
 

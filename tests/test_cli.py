@@ -143,6 +143,90 @@ def test_negative_env_budget_exits_two(capsys, tmp_path, monkeypatch):
     assert code == 2 and out == "" and "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["condense", "{g}"], {"g": "1_0\n0 1\n"}),
+        (["dim", "{g}"], {"g": "3\n\u0661 2\n"}),
+        (["es", "{p}"], {"p": "\u0661 5\n2 4\n"}),
+        (["es", "{p}"], {"p": "1 5\n2 4_0\n"}),
+        (["gen", "path", "\u0663"], {}),
+        (["gen", "path", "3_0"], {}),
+        (["realize", "path", "\u0663"], {}),
+        (["sweep", "\u0663"], {}),
+        (["sweep", " 3"], {}),
+        (["dim", "{g}", "--budget", "1_000"], {"g": "2\n0 1\n"}),
+        (["dim", "{g}", "--max-d", "\u0663"], {"g": "2\n0 1\n"}),
+        (["sweep", "2", "--budget", "\uff15"], {}),
+    ],
+    ids=["condense-underscore-count", "dim-arabic-indic-arc", "es-arabic-indic-point",
+         "es-underscore-point", "gen-arabic-indic", "gen-underscore", "realize-arabic-indic",
+         "sweep-arabic-indic", "sweep-space", "budget-underscore", "max-d-arabic-indic",
+         "budget-fullwidth"],
+)
+def test_integers_are_ascii_decimal_only(capsys, tmp_path, argv, files):
+    paths = {name: write(tmp_path, f"{name}.txt", text) for name, text in files.items()}
+    code, err = run_exit(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["1_000", "\u0661\u0660", " 10", "10 ", "0x10", ""])
+def test_env_budget_is_ascii_decimal_only(capsys, tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("MAJDIM_BUDGET", raw)
+    g = write(tmp_path, "p3.txt", to_edge_list(path(3)))
+    code, out, err = run(capsys, "dim", g)
+    assert code == 2 and out == "" and "MAJDIM_BUDGET" in err
+
+
+def test_signed_and_zero_padded_integers_still_read(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MAJDIM_BUDGET", "+1000")
+    g = write(tmp_path, "p3.txt", "+3\n0 01\n1 2\n")
+    code, out, _ = run(capsys, "dim", g, "--max-d", "+3")
+    assert code == 0 and json.loads(out)["dimension"] == 3
+    code, out, _ = run(capsys, "gen", "path", "+03")
+    assert code == 0 and from_edge_list(out) == path(3)
+    pts = write(tmp_path, "pts.txt", "-1 +5\n2 4\n")
+    code, out, _ = run(capsys, "es", pts)
+    assert code == 0 and json.loads(out)["witness"] == [[-1, 5], [2, 4]]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["profile", "margin"], '{"alternatives": 100000000000000000000, "voters": []}'),
+        (["profile", "digraph"], '{"alternatives": 100000000000000000000, "voters": []}'),
+        (["profile", "to-realizer"], '{"alternatives": 100000000000000000000, "voters": []}'),
+        (["profile", "from-realizer"], '{"d": 100000000000000000000, "vectors": {}}'),
+        (["verify", "{g}"], '{"d": 100000000000000000000, "vectors": {}}'),
+        (["profile", "margin"], '{"alternatives": 9223372036854775808, "voters": []}'),
+    ],
+    ids=["margin", "digraph", "to-realizer", "from-realizer", "verify", "margin-2**63"],
+)
+def test_counts_beyond_any_sequence_exit_two(capsys, tmp_path, argv, text):
+    g = write(tmp_path, "g.txt", "0\n")
+    data = write(tmp_path, "data.json", text)
+    code, out, err = run(capsys, *[a.format(g=g) for a in argv], data)
+    assert code == 2 and out == ""
+    assert "exceeds sys.maxsize" in err and "Traceback" not in err
+
+
+def test_profile_digraph_without_voters_allocates_nothing_per_alternative(tmp_path):
+    data = write(tmp_path, "none.json", '{"alternatives": 10000000, "voters": []}')
+    script = (
+        "import resource, sys\n"
+        "import majdim.cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "rc = majdim.cli.main(['profile', 'digraph', sys.argv[1]])\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(rc, grown, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, data], capture_output=True, text=True)
+    assert out.stdout == '{"n": 10000000, "arcs": []}\n'
+    rc, grown_kb = map(int, out.stderr.split())
+    # One lane or one tuple per alternative would be tens of MB at this count.
+    assert rc == 0 and grown_kb < 4096
+
+
 # Every command that reads files, with a well-formed file in each file slot.
 GOOD_FILES = {
     "graph.txt": to_edge_list(path(3)),

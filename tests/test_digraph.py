@@ -32,6 +32,7 @@ from majdim import (
     to_dot,
     to_edge_list,
 )
+from majdim.digraph import parse_int
 from helpers import (
     all_labeled_digraphs,
     naive_homogeneous,
@@ -311,6 +312,35 @@ def test_edge_list_comments_and_blanks():
 def test_edge_list_errors(text):
     with pytest.raises(EdgeListError):
         from_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0\n0 1\n", "\u0663\n0 1\n", "3\n\u0661 2\n", "3\n0 1_0\n", "3\n0 0x1\n",
+     "3\n0 \uff11\n"],
+    ids=["underscore-count", "arabic-indic-count", "arabic-indic-arc", "underscore-arc",
+         "hex-arc", "fullwidth-arc"],
+)
+def test_edge_list_reads_ascii_decimal_only(text):
+    with pytest.raises(EdgeListError):
+        from_edge_list(text)
+
+
+def test_edge_list_takes_signs_and_leading_zeros():
+    assert from_edge_list("+3\n00 1\n+1 02\n") == path(3)
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-12", -12), ("+7", 7), ("007", 7)])
+def test_parse_int_reads_ascii_decimal(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", "+", "-", "1_0", "\u0663", "\uff11", " 5", "5 ", "5\n", "0x1", "1e3", "1.0", "--1"]
+)
+def test_parse_int_refuses_everything_else(text):
+    with pytest.raises(ValueError):
+        parse_int(text)
 
 
 def test_to_dot_mentions_all_arcs():

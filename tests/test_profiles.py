@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from majdim import (
     Profile,
     ProfileError,
     Realizer,
+    RealizerError,
     UnknownAlternative,
     ZeroDimension,
     acyclic_tournament,
@@ -14,6 +16,7 @@ from majdim import (
     cycle,
     majority_digraph,
     majority_margin,
+    majority_margins,
     margin,
     profile_from_json,
     profile_to_json,
@@ -139,6 +142,30 @@ def test_majority_digraph_always_validates(m, nv, data):
     D = majority_digraph(Profile(m, voters))
     assert build(D.n, sorted(D.arcs)) == D  # full validation passes
     assert D.n == m and D.arcs == naive_majority_arcs(m, voters)
+
+
+def test_majority_digraph_and_margins_match_majority_margin():
+    rng = random.Random(109)
+    shapes = [(0, 0), (1, 0), (1, 1), (1, 4), (5, 0), (0, 3)]
+    shapes += [(rng.randrange(0, 9), rng.randrange(0, 7)) for _ in range(200)]
+    for m, nv in shapes:
+        scale = rng.choice([1, 3, 10**30])
+        voters = tuple(tuple(rng.randrange(-scale, scale + 1) for _ in range(m)) for _ in range(nv))
+        R = Profile(m, voters)
+        D = majority_digraph(R)
+        assert D.n == m
+        margins = [[majority_margin(R, a, b) for b in range(m)] for a in range(m)]
+        assert majority_margins(R) == margins
+        assert D.arcs == {(a, b) for a in range(m) for b in range(m) if margins[a][b] > 0}
+
+
+def test_counts_beyond_any_sequence_are_refused():
+    with pytest.raises(ProfileError):
+        Profile(sys.maxsize + 1, ())
+    with pytest.raises(RealizerError):
+        Realizer(sys.maxsize + 1, {})
+    assert Profile(sys.maxsize, ()).alternatives == sys.maxsize
+    assert Realizer(sys.maxsize, {}).d == sys.maxsize
 
 
 def test_profile_validation():

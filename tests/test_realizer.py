@@ -14,7 +14,7 @@ from majdim import (
     cycle,
     extend_dims,
     margin,
-    margin_rows,
+    margin_lanes,
     normalize,
     path,
     realizer_from_json,
@@ -60,26 +60,30 @@ def test_verify_strict_domination_fails():
 @example([()])
 @example([(), (), ()])
 @example([(4, -1)])
+@example([(10**30, -10**30), (-10**30, 10**30), (10**30, 10**30), (-10**30, -10**30)])
+@example([(10**30, 0, -10**30), (10**30 + 1, -1, -10**30), (10**30, 1, 1 - 10**30)])
+@example([(0,) * 1000, (1,) * 1000, (2,) * 1000])  # every margin is +-d, w = 12
 @given(st.integers(0, 6).flatmap(
     lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=9)
 ))
-def test_margin_rows_match_naive_margins(vectors):
-    rows = list(margin_rows(vectors))
-    assert len(rows) == len(vectors)
+def test_margin_lanes_match_naive_margins(vectors):
+    n = len(vectors)
+    d = len(vectors[0]) if vectors else 0
+    w, rows = margin_lanes(vectors)
+    assert w == (2 * d).bit_length() + 1
+    assert len(rows) == n
+    lane = (1 << w) - 1
     for u, row in enumerate(rows):
-        got = {}
-        for m, s in row.items():
-            assert s, "empty margin sets are left out"
-            for v in range(len(vectors)):
-                if s >> v & 1:
-                    assert v not in got
-                    got[v] = m
-        assert got == {v: naive_margin(vectors[u], vectors[v]) for v in range(u + 1, len(vectors))}
+        assert 0 <= row < 1 << n * w
+        for v in range(n):
+            value = row >> v * w & lane
+            assert value < 1 << w - 1, "the top bit of every lane stays clear"
+            assert value - d == naive_margin(vectors[u], vectors[v])
 
 
-def test_margin_rows_reject_ragged_vectors():
+def test_margin_lanes_reject_ragged_vectors():
     with pytest.raises(DimensionMismatch):
-        list(margin_rows([(1, 2), (1, 2, 3)]))
+        margin_lanes([(1, 2), (1, 2, 3)])
 
 
 def test_verify_violations_match_naive_reference_in_order():
