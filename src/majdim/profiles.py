@@ -98,8 +98,11 @@ def majority_margins(R: Profile) -> list[list[int]]:
     Lane b of margin_lanes' row a holds d + margin(a, b) in w bits, and
     lane 0 is the last w digits of the row written in binary, so each
     row is decoded from one binary string.  Without voters every margin
-    is 0."""
+    is 0.  A matrix of more than sys.maxsize entries raises ProfileError
+    before anything is allocated."""
     m, d = R.alternatives, len(R.voters)
+    if m * m > sys.maxsize:
+        raise ProfileError(f"the {m}x{m} margin matrix exceeds sys.maxsize entries")
     if not d:
         return [[0] * m for _ in range(m)]
     w, rows = margin_lanes(list(zip(*R.voters)))

@@ -14,9 +14,12 @@ the unassigned u with the fewest candidates per incident arc, the least
 |dom(u)| / (1 + deg(u)); ratios are compared exactly by cross-multiplying,
 and ties go to the earlier vertex in (-degree, v) order, so node counts
 and witnesses are deterministic.  The sizes are taken inside the forward
-check below, one bit count per narrowed domain.  The constraint tables are
-indexed by vertex: need[u][w] is the required sign of margin(w, u), and
-noeq[u][w] marks the pairs under the no-shared-coordinate rule.
+check below, one bit count per narrowed domain.  One table, indexed by
+vertex, holds every constraint between a placed vertex u and an unplaced
+one w: need[u][w] is 0 or +-1, the required sign of margin(w, u), or +-2,
+that sign with no coordinate shared (the d = 3 rule below).  The relation
+row of u's vector is indexed by the same values, so each (placed,
+unplaced) pair costs one cached row entry and one AND.
 
 Pruning, all of it completeness-preserving:
 
@@ -31,7 +34,10 @@ Pruning, all of it completeness-preserving:
   extends the assignment, meets every domain (domains only encode margins
   and shared coordinates with assigned vertices) and gives the next vertex
   an enumerated vector, whichever vertex is next.  By induction over the
-  placements the search reaches a realizer whenever one exists.
+  placements the search reaches a realizer whenever one exists.  The
+  still-tied pairs are one bit pattern, and placing vectors[c] keeps those
+  that c ties, pattern & ties[c]: the mask gave c x[i] <= x[i+1] on every
+  still-tied pair i, so a pair c does not tie is one it orders strictly.
 * rank compression - only compressed realizers, whose columns each use
   exactly the values {1..k}, are searched.  In column i let S be the
   values of the placed vertices, M = max S and gaps = M - |S|.  After a
@@ -62,7 +68,9 @@ Pruning, all of it completeness-preserving:
   set prunes immediately.
 * three-dimensional no-shared-coordinate rule - in R^3, if x -> y -> z is
   an induced two-path then a realizer gives x, y (and y, z) no equal
-  coordinate, so those pairs additionally intersect with a no-equal mask.
+  coordinate, so need marks those pairs +-2 once, however many two-paths
+  hold them, and their row entries keep only the vectors of the required
+  sign with no equal coordinate.
   (The odd-dimension parity fact - incomparable vectors in odd d share an
   odd number of coordinates - is implied by the exact margin masks and
   needs no separate rule here.)
@@ -84,7 +92,7 @@ from functools import lru_cache
 
 from . import constructions
 from .digraph import Digraph, bits, condense, induced_two_paths, is_acyclic_tournament
-from .realizer import Realizer, extend_dims, verify
+from .realizer import Realizer, verify
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -152,13 +160,15 @@ class _Space:
     itertools.product order.  eq[i][r] and below[i][r] hold the vectors
     whose coordinate i equals r or lies below r; every other mask is
     combined from them.  A candidate's relation row is built on first use
-    and kept: at most one row per vector, 4 * N bits each for N vectors.
+    and kept: at most one row per vector, 3 * N bits each for N vectors
+    (5 * N at d = 3).  ties[x] has bit i set when coordinates i and i + 1
+    of vectors[x] are equal.
 
     Per-column sets of values are ints as well, with one field of
     nranks + 1 bits per column: bit i * (nranks + 1) + r stands for value r
     in column i, and bit 0 of every field stays clear.  value_bits[x] holds
     the d values of vectors[x].  The masks that `mask` builds are kept up
-    to 4 * N at a time, no more bits than the rows may hold.
+    to 4 * N at a time, N bits each.
     """
 
     def __init__(self, nranks: int, d: int):
@@ -182,17 +192,18 @@ class _Space:
         self.value_bits = list(map(sum, itertools.product(
             *([1 << i * width + r for r in range(1, nranks + 1)] for i in range(d)))))
         self.top = sum(1 << i * width + nranks for i in range(d))  # every ceiling at nranks
-        self._rows: dict[int, tuple[tuple[int, int, int], int]] = {}
-        self._sym_masks: dict[int, int] = {}
+        self.ties = [sum(1 << i for i in range(d - 1) if x[i] == x[i + 1]) for x in self.vectors]
+        self._rows: dict[int, tuple[int, ...]] = {}
         self._tight_fields: dict[int, int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
 
-    def row(self, c: int) -> tuple[tuple[int, int, int], int]:
-        """Relation row of vectors[c]: (signs, neq).
+    def row(self, c: int) -> tuple[int, ...]:
+        """Relation row of vectors[c], indexed by a need value s.
 
-        signs[s] is the set of x with sign(margin(vectors[x], vectors[c]))
-        == s, for s in (0, 1, -1); neq is the set of x sharing no
-        coordinate value with vectors[c].
+        row[s] for s in (0, 1, -1) is the set of x with
+        sign(margin(vectors[x], vectors[c])) == s.  At d = 3 the row has
+        five entries, and row[2] and row[-2] keep only the x of row[1] and
+        row[-1] that share no coordinate value with vectors[c].
         """
         row = self._rows.get(c)
         if row is None:
@@ -215,35 +226,20 @@ class _Space:
                 pos |= level
             for level in levels[: self.d]:
                 neg |= level
-            row = (levels[self.d], pos, neg), self.full ^ shared
+            if self.d == 3:
+                neq = self.full ^ shared
+                row = levels[self.d], pos, pos & neq, neg & neq, neg
+            else:
+                row = levels[self.d], pos, neg
             self._rows[c] = row
         return row
-
-    def sym_mask(self, pattern: int) -> int:
-        """Set of vectors x with x[i] <= x[i+1] for every still-tied pair i."""
-        mask = self._sym_masks.get(pattern)
-        if mask is None:
-            mask = self.full
-            for i in range(self.d - 1):
-                if pattern >> i & 1:
-                    ordered = 0
-                    for r in range(1, self.nranks + 1):
-                        ordered |= self.eq[i][r] & ~self.below[i + 1][r]
-                    mask &= ordered
-            self._sym_masks[pattern] = mask
-        return mask
-
-    def advance_pattern(self, pattern: int, c: int) -> int:
-        vec = self.vectors[c]
-        for i in range(self.d - 1):
-            if pattern >> i & 1 and vec[i] < vec[i + 1]:
-                pattern &= ~(1 << i)
-        return pattern
 
     def mask(self, pattern: int, used: int, ceilings: int) -> int:
         """Set of vectors the next vertex may take under both symmetry rules.
 
-        That is sym_mask(pattern) cut down by rank compression.  used holds
+        Column symmetry keeps the x with x[i] <= x[i+1] for every bit i of
+        pattern, the still-tied pairs; rank compression cuts that down.
+        mask(pattern, 0, self.top) is the column-order part alone.  used holds
         the values of each column on the placed vertices, and ceilings one
         bit per column, at its ceiling t.  Column i allows the values up to
         t, except that in a tight column (t itself used) the used values
@@ -260,7 +256,12 @@ class _Space:
         if mask is None:
             if len(self._masks) >= 4 * len(self.vectors):
                 self._masks.clear()
-            mask = self.sym_mask(pattern)
+            mask = self.full
+            for i in bits(pattern):
+                ordered = 0
+                for r in range(1, self.nranks + 1):
+                    ordered |= self.eq[i][r] & ~self.below[i + 1][r]
+                mask &= ordered
             for i, field in enumerate(self.fields):
                 t = (ceilings & field).bit_length() - 1 - i * self.width
                 if t < self.nranks:
@@ -298,14 +299,15 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     for u, v in D.arcs:
         need[v][u] = 1
         need[u][v] = -1
-    noeq = [[False] * n for _ in range(n)]
-    if d == 3:
+    if d == 3:  # arcs of an induced two-path share no coordinate
         for x, y, z in induced_two_paths(D):
-            noeq[x][y] = noeq[y][x] = noeq[y][z] = noeq[z][y] = True
+            for u, v in ((x, y), (y, z)):
+                need[v][u] = 2
+                need[u][v] = -2
     order = sorted(range(n), key=lambda v: (-weight[v], v))
 
     above_any = len(space.vectors) + 1  # exceeds every domain size
-    value_bits = space.value_bits
+    value_bits, ties = space.value_bits, space.ties
     chosen = [0] * n
     nodes = 0
     budget_hit = False
@@ -314,7 +316,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                 ceilings: int) -> bool:
         # Place u; rest holds the other unassigned vertices in tie-break order.
         nonlocal nodes, budget_hit
-        need_u, noeq_u = need[u], noeq[u]
+        need_u = need[u]
         for c in bits(doms[u] & space.mask(pattern, used, ceilings)):
             if nodes >= budget:
                 budget_hit = True
@@ -323,13 +325,11 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
             chosen[u] = c
             if not rest:
                 return True
-            signs, neq = space.row(c)
+            row = space.row(c)
             new_doms = list(doms)
             best, best_size, best_weight = -1, above_any, 1
             for w in rest:
-                narrowed = doms[w] & signs[need_u[w]]
-                if noeq_u[w]:
-                    narrowed &= neq
+                narrowed = doms[w] & row[need_u[w]]
                 if not narrowed:
                     break
                 new_doms[w] = narrowed
@@ -343,7 +343,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                 # alone; the top one is the lowered ceiling t - 1.
                 vb = value_bits[c]
                 lowered = ceilings - (used & vb)
-                if descend(best, nxt, new_doms, pattern and space.advance_pattern(pattern, c),
+                if descend(best, nxt, new_doms, pattern & ties[c],
                            used | vb, lowered & ~(lowered >> 1)):
                     return True
             if budget_hit:
@@ -364,9 +364,11 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
 def _solve_at(D: Digraph, d: int, budget: int, shortcuts: bool) -> SolveOutcome:
     """is_realizable plus closed-form answers at d = 0 and d = 1.
 
-    Dimension 0 is just emptiness; a digraph fits in one dimension exactly
-    when its condensation is trivial or a nonempty acyclic tournament.
-    Both characterizations are cross-checked against the search in tests.
+    Dimension 0 is just emptiness; a digraph with arcs fits in one
+    dimension exactly when its condensation is a nonempty acyclic
+    tournament.  Only `dimension` calls this, and it settles every arcless
+    digraph at d = 0 first.  Both characterizations are cross-checked
+    against the search in tests.
     """
     if not shortcuts or d > 1:
         return is_realizable(D, d, budget)
@@ -374,9 +376,6 @@ def _solve_at(D: Digraph, d: int, budget: int, shortcuts: bool) -> SolveOutcome:
         if D.arcs:
             return SolveOutcome(Verdict.NOT_REALIZABLE, None, 0)
         return SolveOutcome(Verdict.REALIZABLE, constructions.realize_empty(D), 0)
-    if not D.arcs:
-        witness = extend_dims(constructions.realize_empty(D), 1)
-        return SolveOutcome(Verdict.REALIZABLE, witness, 0)
     cr = condense(D)
     if cr.condensed.arcs and is_acyclic_tournament(cr.condensed):
         line = constructions.realize_acyclic_tournament(cr.condensed)

@@ -233,22 +233,24 @@ def static_order_search(D, d, budget=DEFAULT_BUDGET):
         degree[v] += 1
     order = sorted(range(n), key=lambda v: (-degree[v], v))
     pos = {v: i for i, v in enumerate(order)}
-    need = [[0] * n for _ in range(n)]  # need[new][assigned]: required margin sign
+    # need[new][assigned]: required margin sign, +-2 at d = 3 where the pair
+    # is an arc of an induced two-path and so shares no coordinate.
+    need = [[0] * n for _ in range(n)]
     for u, v in D.arcs:
         need[pos[u]][pos[v]] = 1
         need[pos[v]][pos[u]] = -1
-    noeq = set()
     if d == 3:
         for x, y, z in induced_two_paths(D):
-            noeq.add(tuple(sorted((pos[x], pos[y]))))
-            noeq.add(tuple(sorted((pos[y], pos[z]))))
+            for u, v in ((x, y), (y, z)):
+                need[pos[u]][pos[v]] = 2
+                need[pos[v]][pos[u]] = -2
     chosen = [0] * n
     nodes = 0
     budget_hit = False
 
     def descend(depth, doms, pattern):
         nonlocal nodes, budget_hit
-        for c in bits(doms[depth] & space.sym_mask(pattern)):
+        for c in bits(doms[depth] & space.mask(pattern, 0, space.top)):
             if nodes >= budget:
                 budget_hit = True
                 return False
@@ -256,18 +258,16 @@ def static_order_search(D, d, budget=DEFAULT_BUDGET):
             chosen[depth] = c
             if depth + 1 == n:
                 return True
-            signs, neq = space.row(c)
+            row = space.row(c)
             new_doms = list(doms)
             dead = False
             for j in range(depth + 1, n):
-                narrowed = new_doms[j] & signs[need[j][depth]]
-                if (depth, j) in noeq:
-                    narrowed &= neq
+                narrowed = new_doms[j] & row[need[j][depth]]
                 if not narrowed:
                     dead = True
                     break
                 new_doms[j] = narrowed
-            if not dead and descend(depth + 1, new_doms, space.advance_pattern(pattern, c)):
+            if not dead and descend(depth + 1, new_doms, pattern & space.ties[c]):
                 return True
             if budget_hit:
                 return False

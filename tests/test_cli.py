@@ -199,8 +199,11 @@ def test_signed_and_zero_padded_integers_still_read(capsys, tmp_path, monkeypatc
         (["profile", "from-realizer"], '{"d": 100000000000000000000, "vectors": {}}'),
         (["verify", "{g}"], '{"d": 100000000000000000000, "vectors": {}}'),
         (["profile", "margin"], '{"alternatives": 9223372036854775808, "voters": []}'),
+        (["profile", "margin"], '{"alternatives": 1000000000000000, "voters": []}'),
+        (["profile", "margin"], f'{{"alternatives": {sys.maxsize}, "voters": []}}'),
     ],
-    ids=["margin", "digraph", "to-realizer", "from-realizer", "verify", "margin-2**63"],
+    ids=["margin", "digraph", "to-realizer", "from-realizer", "verify", "margin-2**63",
+         "margin-10**15", "margin-maxsize"],
 )
 def test_counts_beyond_any_sequence_exit_two(capsys, tmp_path, argv, text):
     g = write(tmp_path, "g.txt", "0\n")

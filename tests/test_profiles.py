@@ -166,6 +166,10 @@ def test_counts_beyond_any_sequence_are_refused():
         Realizer(sys.maxsize + 1, {})
     assert Profile(sys.maxsize, ()).alternatives == sys.maxsize
     assert Realizer(sys.maxsize, {}).d == sys.maxsize
+    # A count that fits a sequence can still square past one.
+    for m in (10**15, sys.maxsize):
+        with pytest.raises(ProfileError, match="margin matrix"):
+            majority_margins(Profile(m, ()))
 
 
 def test_profile_validation():

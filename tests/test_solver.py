@@ -201,15 +201,19 @@ def test_union_dimension_example():
 def test_space_rows_match_naive_margins(nranks, d):
     space = _Space(nranks, d)
     vectors = space.vectors
-    sym = space.sym_mask((1 << max(d - 1, 0)) - 1)  # every column pair still tied
+    assert vectors == tuple(itertools.product(range(1, nranks + 1), repeat=d))
+    needs = (0, 1, -1, 2, -2) if d == 3 else (0, 1, -1)
     for c, vc in enumerate(vectors):
-        assert sym >> c & 1 == all(vc[i] <= vc[i + 1] for i in range(d - 1))
-        signs, neq = space.row(c)
+        assert space.ties[c] == sum(1 << i for i in range(d - 1) if vc[i] == vc[i + 1])
+        row = space.row(c)
+        assert len(row) == len(needs)
         for x, vx in enumerate(vectors):
             m = naive_margin(vx, vc)
-            s = (m > 0) - (m < 0)
-            assert [signs[t] >> x & 1 for t in (0, 1, -1)] == [s == t for t in (0, 1, -1)]
-            assert neq >> x & 1 == all(a != b for a, b in zip(vx, vc))
+            apart = all(a != b for a, b in zip(vx, vc))
+            for need in needs:
+                sign = (need > 0) - (need < 0)
+                expected = (m > 0) - (m < 0) == sign and (abs(need) < 2 or apart)
+                assert row[need] >> x & 1 == expected, (vx, vc, need)
 
 
 @pytest.mark.parametrize("nranks, d", [(1, 2), (3, 0), (3, 1), (4, 2), (3, 3), (2, 4)])
@@ -227,19 +231,26 @@ def test_rank_compression_mask_matches_first_principles(nranks, d):
     def missing(S):
         return max(S, default=0) - len(S)
 
+    def ordered(tied, vx):
+        return all(vx[i] <= vx[i + 1] for i in range(d - 1) if tied >> i & 1)
+
     for sets in itertools.product(value_sets, repeat=d):
         used = sum(1 << i * width + r for i, S in enumerate(sets) for r in S)
         for left in range(nranks - max(map(len, sets), default=0)):
             if any(missing(S) > left + 1 for S in sets):
                 continue
             ceilings = sum(1 << i * width + len(S) + 1 + left for i, S in enumerate(sets))
-            for free, sym in ((0, space.full), (pattern, space.sym_mask(pattern))):
-                mask = space.mask(free, used, ceilings)
+            for tied in (0, pattern):
+                mask = space.mask(tied, used, ceilings)
                 for x, vx in enumerate(space.vectors):
-                    expected = sym >> x & 1 and all(
+                    expected = ordered(tied, vx) and all(
                         missing(S | {r}) <= left for S, r in zip(sets, vx)
                     )
-                    assert mask >> x & 1 == expected, (sets, left, free, vx)
+                    assert mask >> x & 1 == expected, (sets, left, tied, vx)
+    for tied in range(pattern + 1):
+        column_order = space.mask(tied, 0, space.top)
+        for x, vx in enumerate(space.vectors):
+            assert column_order >> x & 1 == ordered(tied, vx), (tied, vx)
     assert len(space._masks) <= 4 * len(space.vectors)
 
 
