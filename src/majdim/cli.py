@@ -5,9 +5,8 @@ Digraphs travel as edge-list text (first line the vertex count, then one
 "u v" arc per line, '#' comments allowed), realizers and profiles as JSON.
 
 Exit codes: 0 success, 1 negative answer on a valid run (invalid realizer,
-dimension not pinned down), 2 input error, 3 internal invariant breach.
-The environment variable MAJDIM_BUDGET overrides the default search node
-budget; --budget overrides both.
+dimension not pinned down), 2 input error or out of memory, 3 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -59,19 +57,6 @@ class ParseError(ValueError):
 
 class SelfVerifyFailed(RuntimeError):
     """A construction emitted a realizer that does not verify: a bug."""
-
-
-def _default_budget() -> int:
-    raw = os.environ.get("MAJDIM_BUDGET")
-    if raw is None:
-        return solver.DEFAULT_BUDGET
-    try:
-        budget = parse_int(raw)
-    except ValueError:
-        raise ParseError(f"MAJDIM_BUDGET is not an integer: {raw!r}")
-    if budget < 0:
-        raise ParseError(f"MAJDIM_BUDGET must be nonnegative, got {budget}")
-    return budget
 
 
 def _int(text: str) -> int:
@@ -428,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="exact weak majority dimension by complete search")
     p.add_argument("digraph")
     p.add_argument("--max-d", type=_nonnegative_int, default=None)
-    p.add_argument("--budget", type=_nonnegative_int, default=None)
+    p.add_argument("--budget", type=_nonnegative_int, default=solver.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("condense", help="homogeneous-class condensation")
@@ -439,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="dimensions of every labeled digraph on n vertices")
     p.add_argument("n", type=_int)
     p.add_argument("--max-d", type=_nonnegative_int, default=None)
-    p.add_argument("--budget", type=_nonnegative_int, default=None)
+    p.add_argument("--budget", type=_nonnegative_int, default=solver.DEFAULT_BUDGET)
     p.add_argument("--dedup", action="store_true", help="one row per isomorphism class")
     p.add_argument("--csv", action="store_true", help="CSV rows instead of JSON lines")
     p.set_defaults(func=_cmd_sweep)
@@ -459,17 +444,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "budget") and args.budget is None:
-        try:
-            args.budget = _default_budget()
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (ParseError, DigraphError, RealizerError, BadParams,
             constructions.ConstructionError, profiles.ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except SelfVerifyFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ solver's concern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .digraph import (
     BadParams,
@@ -17,7 +18,7 @@ from .digraph import (
     cycle,
     is_tournament,
 )
-from .realizer import Realizer, extend_dims, margin, verify
+from .realizer import Realizer, margin, verify
 
 
 class ConstructionError(ValueError):
@@ -110,11 +111,11 @@ def add_arc_realizer(D_minus: Digraph, f: Realizer, arc: tuple[int, int]) -> Rea
     if not verify(D_minus, f).valid:
         raise BadBase("realizer does not verify against the base digraph")
     if D_minus.arcs:
-        d, base, columns = f.d + 2, f.vectors, _LATER_ARC_COLUMNS
+        d, base, columns = f.d + 2, f.vertex_vectors(D_minus.n), _LATER_ARC_COLUMNS
     else:
-        d, base, columns = 2, {w: () for w in range(D_minus.n)}, _FIRST_ARC_COLUMNS
+        d, base, columns = 2, [()] * D_minus.n, _FIRST_ARC_COLUMNS
     u_pair, v_pair, rest = columns
-    vecs = {w: base[w] + rest for w in range(D_minus.n)}
+    vecs = {w: vec + rest for w, vec in enumerate(base)}
     vecs[u] = base[u] + u_pair
     vecs[v] = base[v] + v_pair
     return Realizer(d, vecs)
@@ -123,14 +124,16 @@ def add_arc_realizer(D_minus: Digraph, f: Realizer, arc: tuple[int, int]) -> Rea
 def union_realizer(parts: list[tuple[Digraph, Realizer]]) -> Realizer:
     """Realizer of the disjoint union of the parts.
 
-    With G = floor((d_max + 1) / 2), everything is zero-padded to 2G
-    coordinates and each part after the first is shifted up in coordinates
-    1..G and down in coordinates G+1..2G, past the extremes of the part
-    before it.  Constant shifts keep within-part margins intact, while any
-    cross-part pair splits exactly G coordinates each way, so its margin
-    is 0.  Vertex labels of the result follow the input part order, part
-    p's vertices offset by the sizes before it; internally a maximum-
-    dimension part is processed first.
+    With G = floor((d_max + 1) / 2), one pass over the parts zero-pads the
+    vectors of each part's vertices to 2G coordinates and shifts them up
+    in coordinates 1..G and down in coordinates G+1..2G, past the extremes
+    of the part placed before it.  Constant shifts keep within-part
+    margins intact, while any cross-part pair splits exactly G coordinates
+    each way, so its margin is 0.  Vertex labels of the result follow the
+    input part order, part p's vertices offset by the sizes before it.
+    The first part of maximal dimension is placed first and left
+    unshifted; any base would do, this one keeps the output bytes those
+    of earlier versions.
     """
     parts = list(parts)
     if len(parts) < 2:
@@ -139,47 +142,26 @@ def union_realizer(parts: list[tuple[Digraph, Realizer]]) -> Realizer:
         if not verify(D_i, f_i).valid:
             raise BadBase("part realizer does not verify against its digraph")
 
-    offsets = []
-    total = 0
-    for D_i, _ in parts:
-        offsets.append(total)
-        total += D_i.n
-
-    d_max = max(f_i.d for _, f_i in parts)
-    if d_max == 0:
-        return Realizer(0, {offsets[p] + v: () for p, (D_i, _) in enumerate(parts) for v in range(D_i.n)})
-
-    gamma = (d_max + 1) // 2
-    dim = 2 * gamma
-    first = next(p for p in range(len(parts)) if parts[p][1].d == d_max)
-    order = [first] + [p for p in range(len(parts)) if p != first]
-
+    offsets = list(accumulate((D_i.n for D_i, _ in parts), initial=0))
+    first = max(range(len(parts)), key=lambda p: parts[p][1].d)
+    gamma = (parts[first][1].d + 1) // 2
     result: dict[int, tuple[int, ...]] = {}
-    prev_max_lo = 0
-    prev_min_hi = 0
-    have_prev = False
-    for step, p in enumerate(order):
+    max_lo = min_hi = 0
+    for p in [first] + [p for p in range(len(parts)) if p != first]:
         D_p, f_p = parts[p]
-        padded = extend_dims(f_p, dim).vectors
-        if D_p.n == 0:
+        pad = (0,) * (2 * gamma - f_p.d)
+        vecs = [vec + pad for vec in f_p.vertex_vectors(D_p.n)]
+        if not vecs:
             continue
-        if not have_prev:
-            shifted = dict(padded)
-        else:
-            lo_min = min(vec[t] for vec in padded.values() for t in range(gamma))
-            hi_max = max(vec[t] for vec in padded.values() for t in range(gamma, dim))
-            up = prev_max_lo - lo_min + 1
-            down = prev_min_hi - hi_max - 1
-            shifted = {
-                v: tuple(c + up for c in vec[:gamma]) + tuple(c + down for c in vec[gamma:])
-                for v, vec in padded.items()
-            }
-        prev_max_lo = max(vec[t] for vec in shifted.values() for t in range(gamma))
-        prev_min_hi = min(vec[t] for vec in shifted.values() for t in range(gamma, dim))
-        have_prev = True
-        for v, vec in shifted.items():
-            result[offsets[p] + v] = vec
-    return Realizer(dim, result)
+        lo = [c for vec in vecs for c in vec[:gamma]]
+        hi = [c for vec in vecs for c in vec[gamma:]]
+        up = max_lo + 1 - min(lo, default=0) if result else 0
+        down = min_hi - 1 - max(hi, default=0) if result else 0
+        max_lo = max(lo, default=0) + up
+        min_hi = min(hi, default=0) + down
+        for v, vec in enumerate(vecs, offsets[p]):
+            result[v] = tuple(c + up for c in vec[:gamma]) + tuple(c + down for c in vec[gamma:])
+    return Realizer(2 * gamma, result)
 
 
 def condense_lift(D: Digraph, cr: CondensationResult, f_star: Realizer) -> Realizer:
@@ -192,7 +174,8 @@ def condense_lift(D: Digraph, cr: CondensationResult, f_star: Realizer) -> Reali
         raise ClassMismatch("condensation data does not match the digraph")
     if not verify(cr.condensed, f_star).valid:
         raise BadBase("realizer does not verify against the condensed digraph")
-    return Realizer(f_star.d, {v: f_star.vectors[cr.class_of[v]] for v in range(D.n)})
+    vecs = f_star.vertex_vectors(cr.condensed.n)
+    return Realizer(f_star.d, {v: vecs[cr.class_of[v]] for v in range(D.n)})
 
 
 def realize_path(n: int) -> Realizer:

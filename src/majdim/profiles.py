@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .digraph import Digraph, bits
-from .realizer import Realizer, lane_signs, margin_lanes, strict_json_loads
+from .realizer import MissingVertex, Realizer, lane_signs, margin_lanes, strict_json_loads
 
 
 class ProfileError(ValueError):
@@ -117,17 +117,17 @@ def realizer_to_profile(f: Realizer) -> Profile:
     """Read coordinate i of a realizer as voter i's rank list.
 
     For every vertex pair the weak majority margin of the vectors equals
-    the majority margin of the resulting profile.
+    the majority margin of the resulting profile.  The m keys must be the
+    vertices 0..m-1; a realizer without vertices gives d empty voters.
     """
     if f.d == 0:
         raise ZeroDimension("a 0-dimensional realizer induces no voters")
     m = len(f.vectors)
-    if sorted(f.vectors) != list(range(m)):
-        raise ProfileError("realizer vertices must be exactly 0..m-1")
-    voters = tuple(
-        tuple(f.vectors[a][i] for a in range(m)) for i in range(f.d)
-    )
-    return Profile(m, voters)
+    try:
+        vecs = f.vertex_vectors(m)
+    except MissingVertex:
+        raise ProfileError("realizer vertices must be exactly 0..m-1") from None
+    return Profile(m, tuple(zip(*vecs)) if vecs else ((),) * f.d)
 
 
 def profile_to_realizer(R: Profile) -> Realizer:

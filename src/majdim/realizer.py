@@ -88,11 +88,17 @@ class Realizer:
                 )
         object.__setattr__(self, "vectors", vecs)
 
-    def vector(self, v: int) -> tuple[int, ...]:
+    def vertex_vectors(self, n: int) -> list[tuple[int, ...]]:
+        """The vectors of vertices 0..n-1, in order.
+
+        This is how every consumer reads a realizer of an n-vertex
+        digraph: keys outside 0..n-1 are ignored, and the first vertex
+        without a vector raises MissingVertex.
+        """
         try:
-            return self.vectors[v]
-        except KeyError:
-            raise MissingVertex(f"no vector for vertex {v}")
+            return [self.vectors[v] for v in range(n)]
+        except KeyError as exc:
+            raise MissingVertex(f"no vector for vertex {exc.args[0]}") from None
 
 
 class Violation(NamedTuple):
@@ -170,10 +176,7 @@ def verify(D: Digraph, f: Realizer) -> VerifyReport:
     in-neighbours, and only the lanes v > u whose margin has the wrong
     sign are decoded into Violations, in (u, v) order.
     """
-    for v in range(D.n):
-        if v not in f.vectors:
-            raise MissingVertex(f"no vector for vertex {v}")
-    w, rows = margin_lanes([f.vectors[v] for v in range(D.n)])
+    w, rows = margin_lanes(f.vertex_vectors(D.n))
     guard, gt, ge = lane_signs(D.n, f.d, w)
     top = 1 << w - 1
     win = [0] * D.n

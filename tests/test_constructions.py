@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -34,6 +35,7 @@ from majdim import (
     realize_cycle,
     realize_empty,
     realize_path,
+    realizer_to_json,
     single_arc,
     union_realizer,
     verify,
@@ -142,6 +144,54 @@ def test_union_cross_pairs_split_evenly():
             wins = sum(a > b for a, b in zip(x, y))
             losses = sum(b > a for a, b in zip(x, y))
             assert wins == losses == gamma
+
+
+def test_constructions_ignore_keys_beyond_the_digraph():
+    # verify ignores the vector at key 2 of a 2-vertex realizer; so must
+    # every construction that takes one
+    arc = Realizer(1, {0: (2,), 1: (1,), 2: (5,)})
+    f = union_realizer([(single_arc(2), arc), (path(3), realize_path(3))])
+    assert sorted(f.vectors) == list(range(5))
+    assert verify(disjoint_union([single_arc(2), path(3)]), f).valid
+    base = build(3, [(0, 1)])
+    padded = Realizer(2, {**generic_realizer(base).vectors, 3: (9, 9)})
+    g = add_arc_realizer(base, padded, (0, 2))
+    assert sorted(g.vectors) == [0, 1, 2] and verify(build(3, [(0, 1), (0, 2)]), g).valid
+    D = build(3, [(0, 1), (0, 2)])
+    lifted = condense_lift(D, condense(D), arc)
+    assert sorted(lifted.vectors) == [0, 1, 2] and verify(D, lifted).valid
+
+
+def _random_union_parts(rng):
+    # generic realizers under order-preserving coordinate maps plus zero
+    # padding: odd and even d, negative coordinates, empty and 0-d parts
+    parts = []
+    for _ in range(rng.randrange(2, 5)):
+        D = random_digraph(rng, rng.randrange(0, 6))
+        f = generic_realizer(D)
+        scale = [rng.randrange(1, 4) for _ in range(f.d)]
+        shift = [rng.randrange(-5, 6) for _ in range(f.d)]
+        pad = (0,) * rng.randrange(3)
+        vecs = {v: tuple(a * c + b for a, b, c in zip(scale, shift, vec)) + pad
+                for v, vec in f.vectors.items()}
+        parts.append((D, Realizer(f.d + len(pad), vecs)))
+    return parts
+
+
+# sha256 of the JSON of union_realizer over 600 seeded part lists, one
+# line each; the witness bytes of `realize union` must not change.
+UNION_DIGEST = "8cd3e9151de9ab1b090be1232ceea5dab8978fb0a90b268e7392eacceef4bb6b"
+
+
+def test_union_output_digest():
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for _ in range(600):
+        parts = _random_union_parts(rng)
+        f = union_realizer(parts)
+        assert verify(disjoint_union([D for D, _ in parts]), f).valid
+        h.update(realizer_to_json(f).encode() + b"\n")
+    assert h.hexdigest() == UNION_DIGEST
 
 
 def test_union_errors():

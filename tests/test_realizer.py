@@ -101,8 +101,16 @@ def test_verify_violations_match_naive_reference_in_order():
 
 
 def test_verify_missing_vertex():
-    with pytest.raises(MissingVertex):
+    with pytest.raises(MissingVertex, match="no vector for vertex 2$"):
         verify(path(3), Realizer(1, {0: (1,), 1: (2,)}))
+    # vertex_vectors names the first missing vertex and ignores keys beyond n
+    f = Realizer(1, {0: (1,), 1: (2,), 3: (4,), 7: (0,)})
+    with pytest.raises(MissingVertex, match="no vector for vertex 2$"):
+        f.vertex_vectors(5)
+    with pytest.raises(MissingVertex, match="no vector for vertex 0$"):
+        Realizer(1, {1: (2,)}).vertex_vectors(2)
+    assert f.vertex_vectors(2) == [(1,), (2,)]
+    assert f.vertex_vectors(0) == []
 
 
 def test_realizer_rejects_ragged_vectors():
