@@ -202,11 +202,17 @@ def _dimension_payload(result: solver.DimensionResult) -> dict:
         payload["dimension"] = result.dimension
     else:
         payload["unknown"] = {"lower": result.lower, "upper": result.upper}
-    payload["per_d"] = [
-        {"d": d, "verdict": outcome.verdict.value, "nodes": outcome.nodes_explored}
-        for d, outcome in result.per_d
-    ]
+    payload["per_d"] = [_level_payload(d, outcome) for d, outcome in result.per_d]
     return payload
+
+
+def _level_payload(d: int, outcome: solver.SolveOutcome) -> dict:
+    row = {"d": d, "verdict": outcome.verdict.value, "nodes": outcome.nodes_explored,
+           "reason": outcome.reason}
+    if outcome.obstruction is not None:
+        row["obstruction"] = outcome.obstruction.name
+        row["vertices"] = list(outcome.obstruction.vertices)
+    return row
 
 
 def _cmd_dim(args) -> int:
@@ -410,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digraph", "-d", action="append", default=[], metavar="FILE")
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("dim", help="exact weak majority dimension by complete search")
+    p = sub.add_parser("dim", help="exact weak majority dimension: proved rules, then search")
     p.add_argument("digraph")
     p.add_argument("--max-d", type=_nonnegative_int, default=None)
     p.add_argument("--budget", type=_nonnegative_int, default=solver.DEFAULT_BUDGET)

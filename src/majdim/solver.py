@@ -1,5 +1,9 @@
 """Exact realizability search and dimension computation for small digraphs.
 
+`dimension` climbs d from 0 and hands each level to a tuple of deciders,
+proved rules first and the search last (see `dimension`); the rest of this
+docstring is about the search.
+
 The search assigns every vertex a full rank vector in {1..n}^d, one vertex
 at a time.  Ranks lose no generality: replacing each coordinate's values
 by their ranks 1..k among that coordinate's distinct values keeps every
@@ -90,8 +94,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from . import constructions
-from .digraph import Digraph, bits, condense, induced_two_paths, is_acyclic_tournament
+from .digraph import Digraph, bits, induced_two_paths
 from .realizer import Realizer, verify
 
 DEFAULT_BUDGET = 10_000_000
@@ -114,17 +117,36 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
+class Obstruction:
+    """An induced copy of a certified digraph inside the digraph at hand.
+
+    vertices[i] is the vertex that the certified digraph's vertex i maps
+    to; `dimension` is the certified digraph's dimension.
+    """
+
+    name: str
+    dimension: int
+    vertices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class SolveOutcome:
-    """Result of one fixed-dimension search.
+    """Decision at one dimension, and the rule that reached it.
 
     A REALIZABLE outcome always carries a witness that has been re-checked
-    against the digraph; NOT_REALIZABLE is only reported after the pruned
-    but complete tree has been exhausted.
+    against the digraph.  reason names the decider of `dimension` that
+    settled the level: "empty", "condensed_tournament", "transitivity",
+    "obstruction" (with the obstruction it found), "ceiling" or "search",
+    whose NOT_REALIZABLE is only reported after the pruned but complete
+    tree has been exhausted.  nodes_explored counts the search's nodes, or
+    the matcher's for an obstruction.
     """
 
     verdict: Verdict
     witness: Realizer | None
     nodes_explored: int
+    reason: str = "search"
+    obstruction: Obstruction | None = None
 
 
 @dataclass(frozen=True)
@@ -132,8 +154,10 @@ class DimensionResult:
     """Exact dimension, or bounds when the budget ran out.
 
     When `dimension` is set, lower == upper == dimension.  Otherwise the
-    value lies in [lower, upper]; upper is the constructive 2 * #arcs
-    ceiling.
+    value lies in [lower, upper]; upper is the ceiling, the dimension of
+    the cheapest construction: a directed path's or cycle's own realizer,
+    else the generic 2 * #arcs (always 2 * #arcs when every level is
+    searched).
     """
 
     dimension: int | None
@@ -361,59 +385,47 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     return SolveOutcome(Verdict.NOT_REALIZABLE, None, nodes)
 
 
-def _solve_at(D: Digraph, d: int, budget: int, shortcuts: bool) -> SolveOutcome:
-    """is_realizable plus closed-form answers at d = 0 and d = 1.
-
-    Dimension 0 is just emptiness; a digraph with arcs fits in one
-    dimension exactly when its condensation is a nonempty acyclic
-    tournament.  Only `dimension` calls this, and it settles every arcless
-    digraph at d = 0 first.  Both characterizations are cross-checked
-    against the search in tests.
-    """
-    if not shortcuts or d > 1:
-        return is_realizable(D, d, budget)
-    if d == 0:
-        if D.arcs:
-            return SolveOutcome(Verdict.NOT_REALIZABLE, None, 0)
-        return SolveOutcome(Verdict.REALIZABLE, constructions.realize_empty(D), 0)
-    cr = condense(D)
-    if cr.condensed.arcs and is_acyclic_tournament(cr.condensed):
-        line = constructions.realize_acyclic_tournament(cr.condensed)
-        witness = constructions.condense_lift(D, cr, line)
-        if not verify(D, witness).valid:
-            raise RuntimeError("condensation shortcut produced an invalid witness")
-        return SolveOutcome(Verdict.REALIZABLE, witness, 0)
-    return SolveOutcome(Verdict.NOT_REALIZABLE, None, 0)
-
-
 def dimension(
     D: Digraph,
     max_d: int | None = None,
     budget: int = DEFAULT_BUDGET,
     shortcuts: bool = True,
 ) -> DimensionResult:
-    """Smallest d at which D is realizable, searched upward from 0.
+    """Smallest d at which D is realizable, climbed upward from 0.
 
-    The effective ceiling is min(max_d, 2 * #arcs); the latter is always a
-    valid upper bound because the generic arc-by-arc construction realizes
-    any digraph in 2 * #arcs dimensions.  The first budget-exhausted level
-    stops the climb and yields bounds instead of a value, never an
-    unproven claim.
+    Each level goes to the deciders in turn, and the first that answers
+    settles it: emptiness (d = 0), the condensed tournament (d = 1),
+    transitivity (d <= 2), an induced obstruction, the ceiling and the
+    complete search, each proved in its docstring in `deciders`.  The
+    ceiling is a verified realize_path/realize_cycle when D is a directed
+    path or cycle, else the generic 2 * #arcs, and it caps the climb
+    together with max_d (`deciders.Climb` says when it is built).  With
+    shortcuts=False every level is searched, up to 2 * #arcs.  The first
+    budget-exhausted level stops the climb and yields bounds instead of a
+    value, never an unproven claim.
     """
+    # Loaded on first use: nothing else in the package needs the matcher,
+    # the obstruction table or the family constructions behind the rules.
+    from . import deciders
+
     if max_d is not None:
         _check_count("max_d", max_d)
     _check_count("budget", budget)
-    arc_bound = 2 * len(D.arcs)
-    ceiling = arc_bound if max_d is None else min(max_d, arc_bound)
+    climb = deciders.Climb(D, budget, shortcuts)
+    rules = deciders.DECIDERS if shortcuts else deciders.SEARCH_ONLY
+    top = climb.ceiling if max_d is None else min(max_d, climb.ceiling)
     per_d: list[tuple[int, SolveOutcome]] = []
-    for d in range(ceiling + 1):
-        outcome = _solve_at(D, d, budget, shortcuts)
+    for d in range(top + 1):
+        for decide in rules:
+            outcome = decide(climb, d)
+            if outcome is not None:
+                break
         per_d.append((d, outcome))
         if outcome.verdict is Verdict.REALIZABLE:
             return DimensionResult(d, d, d, tuple(per_d))
         if outcome.verdict is Verdict.BUDGET_EXCEEDED:
-            return DimensionResult(None, d, arc_bound, tuple(per_d))
-    return DimensionResult(None, ceiling + 1, arc_bound, tuple(per_d))
+            return DimensionResult(None, d, climb.ceiling, tuple(per_d))
+    return DimensionResult(None, top + 1, climb.ceiling, tuple(per_d))
 
 
 def _point(p) -> tuple[int, int]:

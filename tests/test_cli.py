@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from majdim import (
     majority_margin,
     path,
     realizer_from_json,
+    subset_family,
     to_edge_list,
     verify,
 )
@@ -355,7 +357,9 @@ def test_dim_transitive_tournament(capsys, tmp_path):
 
 
 def test_dim_budget_exhaustion_exits_one(capsys, tmp_path):
-    g = write(tmp_path, "p3.txt", to_edge_list(path(3)))
+    # No rule settles subset_family(3, 1) at d = 3, and 3 nodes finish neither
+    # its obstruction scan nor a search.
+    g = write(tmp_path, "s31.txt", to_edge_list(subset_family(3, 1)))
     code, out, _ = run(capsys, "dim", g, "--budget", "3")
     assert code == 1
     payload = json.loads(out)
@@ -372,12 +376,52 @@ def test_dim_ignores_env_budget(capsys, tmp_path, monkeypatch):
 
 
 def test_dim_beyond_search_space_limit_reports_bounds(capsys, tmp_path):
-    g = write(tmp_path, "p2001.txt", to_edge_list(path(2001)))
+    # A transitive matching on 2001 vertices: no rule settles d = 2, whose
+    # space holds 2001^2 > 4,000,000 vectors.
+    matching = build(2001, [(2 * i, 2 * i + 1) for i in range(1000)])
+    g = write(tmp_path, "m2001.txt", to_edge_list(matching))
     code, out, err = run(capsys, "dim", g)
     assert code == 1 and err == ""
     payload = json.loads(out)
-    assert payload["unknown"] == {"lower": 2, "upper": 4000}
-    assert payload["per_d"][-1] == {"d": 2, "verdict": "budget_exceeded", "nodes": 0}
+    assert payload["unknown"] == {"lower": 2, "upper": 2000}
+    assert payload["per_d"][-1] == {"d": 2, "verdict": "budget_exceeded", "nodes": 0,
+                                    "reason": "search"}
+
+
+def test_dim_long_path_is_four_without_search(capsys, tmp_path):
+    code, out, _ = run(capsys, "gen", "path", "2001")
+    g = write(tmp_path, "p2001.txt", out)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dim", g)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert json.loads(out)["dimension"] == 4
+
+
+# `majdim dim` stdout: which rule settles each level, and at what cost.
+DIM_JSON = {
+    "path": '{"dimension": 4, "per_d": ['
+            '{"d": 0, "verdict": "not_realizable", "nodes": 0, "reason": "empty"}, '
+            '{"d": 1, "verdict": "not_realizable", "nodes": 0, "reason": "condensed_tournament"}, '
+            '{"d": 2, "verdict": "not_realizable", "nodes": 0, "reason": "transitivity"}, '
+            '{"d": 3, "verdict": "not_realizable", "nodes": 6, "reason": "obstruction", '
+            '"obstruction": "path(6)", "vertices": [0, 1, 2, 3, 4, 5]}, '
+            '{"d": 4, "verdict": "realizable", "nodes": 0, "reason": "ceiling"}]}\n',
+    "cycle": '{"dimension": 4, "per_d": ['
+             '{"d": 0, "verdict": "not_realizable", "nodes": 0, "reason": "empty"}, '
+             '{"d": 1, "verdict": "not_realizable", "nodes": 0, "reason": "condensed_tournament"}, '
+             '{"d": 2, "verdict": "not_realizable", "nodes": 0, "reason": "transitivity"}, '
+             '{"d": 3, "verdict": "not_realizable", "nodes": 4233, "reason": "search"}, '
+             '{"d": 4, "verdict": "realizable", "nodes": 0, "reason": "ceiling"}]}\n',
+}
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_dim_json_is_pinned(capsys, tmp_path, family):
+    code, out, _ = run(capsys, "gen", family, "6")
+    g = write(tmp_path, f"{family}6.txt", out)
+    code, out, _ = run(capsys, "dim", g)
+    assert code == 0 and out == DIM_JSON[family]
 
 
 def test_condense_json(capsys, tmp_path):
@@ -538,10 +582,20 @@ def test_sweep_five_dedup(capsys):
     assert _digest(code, out) == SWEEP_DIGESTS["sweep 5 --dedup"]
 
 
+def test_rules_agree_with_search_on_every_five_vertex_class():
+    # Sweep rows come from the search alone; `dimension` with its rules must
+    # give every class the same verdict at every level.
+    for row in _sweep_rows(5, True, solver.DEFAULT_BUDGET, None):
+        res = solver.dimension(_from_code(5, row.digraph_code))
+        verdicts = [outcome.verdict for _, outcome in res.per_d]
+        assert verdicts == [solver.Verdict.NOT_REALIZABLE] * row.dimension + [
+            solver.Verdict.REALIZABLE], row.digraph_code
+
+
 def test_sweep_decides_low_dimensions_by_search(capsys, monkeypatch):
     # A broken d = 1 characterization in the solver must not reach the
     # sweep's rows, or its dim1 flag would be checking the solver's shortcut.
-    monkeypatch.setattr("majdim.solver.is_acyclic_tournament", lambda D: False)
+    monkeypatch.setattr("majdim.deciders.is_acyclic_tournament", lambda D: False)
     code, out, _ = run(capsys, "sweep", "3")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["summary"]["histogram"] == {

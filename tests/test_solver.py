@@ -8,7 +8,9 @@ import time
 import pytest
 
 from majdim import (
+    DEFAULT_BUDGET,
     BadPoint,
+    Digraph,
     EmptyInput,
     Realizer,
     SolveOutcome,
@@ -29,6 +31,7 @@ from majdim import (
     subset_family,
     verify,
 )
+from majdim.deciders import _obstructions, induced_copy
 from majdim.solver import _Space
 from helpers import (
     all_labeled_digraphs,
@@ -115,11 +118,14 @@ def test_dimension_witness_and_bounds_fields():
 
 
 def test_dimension_budget_exhaustion_reports_bounds():
-    res = dimension(path(3), budget=4)
+    # No rule settles subset_family(3, 1) at d = 3, and 4 nodes cannot
+    # finish its obstruction scan or its search.
+    D = subset_family(3, 1)
+    res = dimension(D, budget=4)
     assert not res.known
     assert res.dimension is None
     assert res.lower >= 1
-    assert res.upper == 2 * 2
+    assert res.upper == 2 * len(D.arcs)
     assert res.per_d[-1][1].verdict is Verdict.BUDGET_EXCEEDED
 
 
@@ -144,16 +150,72 @@ def test_dimension_rejects_non_integer_max_d(max_d):
 
 
 def test_dimension_respects_max_d():
-    res = dimension(path(3), max_d=2)
+    # Only the search settles path(5) at d = 3; its ceiling is realize_path's 4.
+    res = dimension(path(5), max_d=2)
     assert not res.known
     assert res.lower == 3 and res.upper == 4
 
 
+def _levels(res):
+    return [(d, outcome.verdict) for d, outcome in res.per_d]
+
+
 def test_shortcuts_agree_with_search():
-    rng = random.Random(23)
-    for _ in range(40):
-        D = random_digraph(rng, rng.randrange(1, 5))
-        assert dimension(D).dimension == dimension(D, shortcuts=False).dimension
+    # Every level's verdict, for every labeled digraph on 4 vertices.
+    for D in all_labeled_digraphs(4):
+        assert _levels(dimension(D)) == _levels(dimension(D, shortcuts=False)), sorted(D.arcs)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_rules_agree_with_search_on_paths_and_cycles(n):
+    for D in (path(n), cycle(n)) if n >= 3 else (path(n),):
+        assert _levels(dimension(D)) == _levels(dimension(D, shortcuts=False))
+
+
+@pytest.mark.parametrize("name, P, k", _obstructions(),
+                         ids=[name for name, _, _ in _obstructions()])
+def test_obstructions_are_certified_by_search(name, P, k, hard_mode):
+    # Exhausted at k - 1, a verified witness at k.
+    if name == "subset_family(4, 1)" and not hard_mode:
+        pytest.skip("1.2M-node exhaustion at d = 3: run with --hard")
+    assert is_realizable(P, k - 1).verdict is Verdict.NOT_REALIZABLE
+    outcome = is_realizable(P, k)
+    assert outcome.verdict is Verdict.REALIZABLE
+    assert verify(P, outcome.witness).valid
+
+
+def _brute_force_copies(P, D):
+    """Every injective vertex map that carries P's arcs and non-arcs to D's."""
+    pairs = [(u, v) for u in range(P.n) for v in range(P.n) if u != v]
+    for image in itertools.permutations(range(D.n), P.n):
+        if all(((image[u], image[v]) in D.arcs) == ((u, v) in P.arcs) for u, v in pairs):
+            yield image
+
+
+def test_induced_copy_matches_brute_force():
+    rng = random.Random(67)
+    entries = [P for _, P, _ in _obstructions() if P.n <= 5]
+    found = absent = 0
+    for _ in range(300):
+        D = random_digraph(rng, rng.randrange(1, 8))
+        for P in entries:
+            embedding, nodes, complete = induced_copy(P, D, DEFAULT_BUDGET)
+            assert complete
+            if embedding is None:
+                assert next(_brute_force_copies(P, D), None) is None, sorted(D.arcs)
+                absent += 1
+            else:
+                assert len(set(embedding)) == P.n
+                assert all(((embedding[u], embedding[v]) in D.arcs) == ((u, v) in P.arcs)
+                           for u in range(P.n) for v in range(P.n) if u != v)
+                found += 1
+    assert found and absent
+
+
+def test_induced_copy_stops_at_its_budget():
+    assert induced_copy(path(6), path(7), 3) == (None, 3, False)
+    assert induced_copy(path(6), path(7), 6) == ((0, 1, 2, 3, 4, 5), 6, True)
+    assert induced_copy(path(6), path(5), 0) == (None, 0, True)
 
 
 def test_dimension_one_characterization_via_search():
@@ -295,11 +357,39 @@ def test_solver_nodes_are_deterministic():
     ids=["path5", "path6", "cycle5", "cycle6", "path8-d4", "path9-d4"],
 )
 def test_solver_node_counts_are_pinned(D, d, nodes):
+    # The search's own regression gate, level by level from d = 2; levels
+    # 0 and 1 are settled by rules at 0 nodes.
     if d is None:
-        got = [outcome.nodes_explored for _, outcome in dimension(D).per_d]
+        got = [0, 0] + [is_realizable(D, level).nodes_explored for level in range(2, len(nodes))]
     else:
         got = [is_realizable(D, d).nodes_explored]
     assert got == nodes
+
+
+_LOW = [("empty", 0), ("condensed_tournament", 0)]
+
+
+@pytest.mark.parametrize(
+    "D, levels",
+    [
+        (path(5), _LOW + [("transitivity", 0), ("search", 24)]),
+        (path(6), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
+        (path(7), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
+        (cycle(5), _LOW + [("transitivity", 0), ("obstruction", 5), ("ceiling", 0)]),
+        (cycle(6), _LOW + [("transitivity", 0), ("search", 4233), ("ceiling", 0)]),
+        (cycle(7), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
+        (path(10), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
+        (cycle(10), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
+        (subset_family(3, 1), _LOW + [("obstruction", 6), ("search", 111)]),
+    ],
+    ids=["path5", "path6", "path7", "cycle5", "cycle6", "cycle7", "path10", "cycle10",
+         "subset_family31"],
+)
+def test_dimension_decisions_are_pinned(D, levels):
+    # (reason, nodes) per level: which rule settles it and what it costs.
+    res = dimension(D)
+    assert [(outcome.reason, outcome.nodes_explored) for _, outcome in res.per_d] == levels
+    assert verify(D, res.witness).valid
 
 
 @pytest.mark.parametrize(
@@ -397,9 +487,23 @@ def test_search_does_not_depend_on_arc_order_or_hash_seed():
         assert out.stdout.splitlines() == expected, seed
 
 
+def test_ceiling_is_built_only_when_its_pairs_fit_the_budget():
+    # Verifying path(6)'s ceiling compares 15 vertex pairs.
+    res = dimension(path(6), budget=15)
+    assert res.dimension == 4 and res.per_d[-1][1].reason == "ceiling"
+    res = dimension(path(6), budget=14)
+    assert not res.known and (res.lower, res.upper) == (4, 10)
+    assert res.per_d[-1][1] == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 14)
+
+
+def _matching(n):
+    """n vertices, arcs 2i -> 2i + 1: transitive, and no rule settles d = 2."""
+    return Digraph(n, frozenset((2 * i, 2 * i + 1) for i in range(n // 2)))
+
+
 def test_space_beyond_size_limit_is_a_bounds_verdict():
     start = time.perf_counter()
-    res = dimension(path(2001))
+    res = dimension(_matching(2001))
     assert time.perf_counter() - start < 1.0
     assert not res.known and res.lower == 2
     assert res.per_d[-1][1] == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
