@@ -12,12 +12,12 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import constructions, profiles, solver
 from .digraph import (
@@ -26,19 +26,15 @@ from .digraph import (
     Digraph,
     DigraphError,
     EdgeListError,
-    acyclic_tournament,
     build,
     condense,
-    cycle,
     disjoint_union,
-    empty,
     from_edge_list,
     generate,
     has_induced_two_path,
     is_acyclic_tournament,
     is_transitive,
     parse_int,
-    path,
     to_dot,
     to_edge_list,
 )
@@ -82,24 +78,13 @@ def _read(path_str: str) -> str:
         raise ParseError(f"cannot read {path_str}: {exc}")
 
 
-def _load_digraph(path_str: str) -> Digraph:
+def _load(path_str: str, parse):
+    """parse(the file's text): each reader raises only its own input errors,
+    which become a ParseError naming the file."""
     try:
-        return from_edge_list(_read(path_str))
-    except (EdgeListError, DigraphError) as exc:
-        raise ParseError(f"{path_str}: {exc}")
-
-
-def _load_realizer(path_str: str) -> Realizer:
-    try:
-        return realizer_from_json(_read(path_str))
-    except (json.JSONDecodeError, RealizerError) as exc:
-        raise ParseError(f"{path_str}: {exc}")
-
-
-def _load_profile(path_str: str) -> profiles.Profile:
-    try:
-        return profiles.profile_from_json(_read(path_str))
-    except (json.JSONDecodeError, profiles.ProfileError) as exc:
+        return parse(_read(path_str))
+    except (EdgeListError, DigraphError, json.JSONDecodeError, RealizerError,
+            profiles.ProfileError) as exc:
         raise ParseError(f"{path_str}: {exc}")
 
 
@@ -129,8 +114,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    D = _load_digraph(args.digraph)
-    f = _load_realizer(args.realizer)
+    D = _load(args.digraph, from_edge_list)
+    f = _load(args.realizer, realizer_from_json)
     report = verify(D, f)
     if report.valid:
         print(json.dumps({"valid": True}))
@@ -161,15 +146,13 @@ def _cmd_realize(args) -> int:
     if method in ("path", "cycle", "tournament", "empty"):
         if len(args.params) != 1:
             raise ParseError(f"realize {method} takes exactly one parameter n")
-        n = args.params[0]
+        D = generate(method, args.params[0])
         if method == "path":
-            return _emit_realizer(path(n), constructions.realize_path(n))
+            return _emit_realizer(D, constructions.realize_path(D.n))
         if method == "cycle":
-            return _emit_realizer(cycle(n), constructions.realize_cycle(n))
+            return _emit_realizer(D, constructions.realize_cycle(D.n))
         if method == "tournament":
-            D = acyclic_tournament(n)
             return _emit_realizer(D, constructions.realize_acyclic_tournament(D))
-        D = empty(n)
         return _emit_realizer(D, constructions.realize_empty(D))
     if args.params:
         raise ParseError(f"realize {method} takes digraph files, not parameters")
@@ -178,18 +161,18 @@ def _cmd_realize(args) -> int:
     if method == "generic":
         if len(args.digraph) != 1:
             raise ParseError("realize generic takes exactly one --digraph file")
-        D = _load_digraph(args.digraph[0])
+        D = _load(args.digraph[0], from_edge_list)
         return _emit_realizer(D, constructions.generic_realizer(D))
     if method == "union":
         if len(args.digraph) < 2:
             raise ParseError("realize union needs at least two --digraph files")
-        parts = [_load_digraph(p) for p in args.digraph]
+        parts = [_load(p, from_edge_list) for p in args.digraph]
         pairs = [(D, constructions.generic_realizer(D)) for D in parts]
         return _emit_realizer(disjoint_union(parts), constructions.union_realizer(pairs))
     if method == "condense-lift":
         if len(args.digraph) != 1:
             raise ParseError("realize condense-lift takes exactly one --digraph file")
-        D = _load_digraph(args.digraph[0])
+        D = _load(args.digraph[0], from_edge_list)
         cr = condense(D)
         f_star = constructions.generic_realizer(cr.condensed)
         return _emit_realizer(D, constructions.condense_lift(D, cr, f_star))
@@ -216,14 +199,14 @@ def _level_payload(d: int, outcome: solver.SolveOutcome) -> dict:
 
 
 def _cmd_dim(args) -> int:
-    D = _load_digraph(args.digraph)
+    D = _load(args.digraph, from_edge_list)
     result = solver.dimension(D, max_d=args.max_d, budget=args.budget)
     print(json.dumps(_dimension_payload(result)))
     return 0 if result.known else 1
 
 
 def _cmd_condense(args) -> int:
-    D = _load_digraph(args.digraph)
+    D = _load(args.digraph, from_edge_list)
     cr = condense(D)
     if args.dot:
         sys.stdout.write(to_dot(cr.condensed, name="condensed"))
@@ -241,8 +224,7 @@ def _cmd_condense(args) -> int:
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One digraph's entry in a sweep: code, size, dimension, predicates."""
 
     digraph_code: str
@@ -286,35 +268,60 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
     """Yield the SweepRow of each digraph on n vertices that `sweep` reports.
 
     One walk over the 3^C states of the C vertex pairs u < v, in
-    itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  The first
-    member of an isomorphism class to come up is the only one searched:
-    its row is stored under all n! relabelings of its arc set.  Every
-    field of a row except `digraph_code` is an isomorphism invariant
-    (relabeling the vertices of a realizer realizes the relabeled
-    digraph, and the predicates and the condensation commute with
-    relabeling), so a later member is given its class's row under its own
-    arc code.  With dedup only first members come, coded by the least arc
-    code over their relabelings; `sweep` caps n at 5, so labels are one
-    digit and the least code is the code of the least sorted arc list.
+    itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  A state's
+    code is its base-3 number with the last pair as the fastest digit, so
+    the codes come in walk order, 0 to 3^C - 1.  Each relabeling p has one
+    table: entry 3 * j + t is what pair j in state t adds to the code of
+    p's image, so an image code is a sum over the arcs.  Above the code
+    bits the same entry adds bit n^2 - 1 - (a * n + b) of an arc-order key
+    for the image arc (a, b).  The first state of a class to come up is the
+    only one searched, and the flat list class_of gives all its image codes
+    the class's index.  So the walk keeps one index per state, one row per
+    class and 3C entries per relabeling, not the images themselves.
+
+    Every field of a row except `digraph_code` is an isomorphism invariant
+    (relabeling the vertices of a realizer realizes the relabeled digraph,
+    and the predicates and the condensation commute with relabeling), so a
+    later member is given its class's row under its own arc code.  With
+    dedup only first members come, coded by the least arc code over their
+    relabelings; `sweep` caps n at 5, so labels are one digit and the
+    least code is the code of the least sorted arc list.  That list has the
+    largest key: all images have the same arc count, so where two sorted
+    lists first differ, the lesser one holds an arc below every arc of the
+    symmetric difference, and that arc is the highest key bit they do not
+    share.
 
     Node counts do depend on the labeling, so under a budget too small to
     finish a level every member reports its first member's bounds: the
     rows of isomorphic digraphs are equal, as dedup assumes.
     """
     pairs = list(itertools.combinations(range(n), 2))
-    perms = list(itertools.permutations(range(n)))
-    class_row: dict[frozenset[tuple[int, int]], SweepRow] = {}
-    for states in itertools.product(range(3), repeat=len(pairs)):
+    shift = (3 ** len(pairs)).bit_length()
+    place = {pair: 3**j for j, pair in enumerate(reversed(pairs))}
+    top = shift + n * n - 1  # the key bit of arc (0, 0)
+    # add[a, b]: the image arc (a, b)'s digit at its pair's place, plus its key bit
+    add = {(a, b): (1 + (a > b)) * place[min(a, b), max(a, b)] + (1 << top - a * n - b)
+           for a, b in itertools.permutations(range(n), 2)}
+    tables = [[x for u, v in pairs for x in (0, add[p[u], p[v]], add[p[v], p[u]])]
+              for p in itertools.permutations(range(n))]
+    class_of = [-1] * 3 ** len(pairs)
+    rows: list[SweepRow] = []  # one per class, under its searched code
+    for code, states in enumerate(itertools.product(range(3), repeat=len(pairs))):
+        k = class_of[code]
+        if k >= 0 and dedup:
+            continue
         arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
-        row = class_row.get(frozenset(arcs))
-        if row is None:
-            images = [sorted((perm[u], perm[v]) for u, v in arcs) for perm in perms]
-            row = _sweep_row(build(n, arcs), _arc_code(min(images) if dedup else arcs),
-                             budget, max_d)
-            class_row.update(dict.fromkeys(map(frozenset, images), row))
-            yield row
-        elif not dedup:
-            yield dataclasses.replace(row, digraph_code=_arc_code(arcs))
+        if k >= 0:
+            yield SweepRow(_arc_code(arcs), *rows[k][1:])
+            continue
+        entries = [3 * j + s for j, s in enumerate(states) if s]
+        images = [sum(map(table.__getitem__, entries)) for table in tables]
+        for image in images:
+            class_of[image & (1 << shift) - 1] = len(rows)
+        key = max(images) >> shift
+        least = [divmod(i, n) for i in range(n * n) if key >> n * n - 1 - i & 1]
+        rows.append(_sweep_row(build(n, arcs), _arc_code(least if dedup else arcs), budget, max_d))
+        yield rows[-1]
 
 
 def _cmd_sweep(args) -> int:
@@ -324,15 +331,13 @@ def _cmd_sweep(args) -> int:
         raise ParseError(f"sweep supports n <= {limit} {'with' if args.dedup else 'without'} --dedup")
     rows = list(_sweep_rows(n, args.dedup, args.budget, args.max_d))
 
-    fields = [field.name for field in dataclasses.fields(SweepRow)]
     if args.csv:
-        print(",".join(fields))
+        print(",".join(SweepRow._fields))
         for r in rows:
-            vals = [getattr(r, f) for f in fields]
-            print(",".join("" if v is None else str(v) for v in vals))
+            print(",".join("" if v is None else str(v) for v in r))
     else:
         for r in rows:
-            print(json.dumps({f: getattr(r, f) for f in fields}))
+            print(json.dumps(r._asdict()))
 
     known = [r for r in rows if r.dimension is not None]
     summary = {
@@ -348,11 +353,7 @@ def _cmd_sweep(args) -> int:
         ),
         "dim0_iff_empty": all((r.dimension == 0) == (r.arc_count == 0) for r in known),
     }
-    line = json.dumps({"summary": summary})
-    if args.csv:
-        print(line, file=sys.stderr)
-    else:
-        print(line)
+    print(json.dumps({"summary": summary}), file=sys.stderr if args.csv else sys.stdout)
     checks = [v for k, v in summary.items() if k.startswith("dim")]
     return 0 if all(checks) else 3
 
@@ -360,10 +361,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_profile(args) -> int:
     sub = args.subcommand
     if sub == "from-realizer":
-        f = _load_realizer(args.file)
+        f = _load(args.file, realizer_from_json)
         print(profiles.profile_to_json(profiles.realizer_to_profile(f)))
         return 0
-    R = _load_profile(args.file)
+    R = _load(args.file, profiles.profile_from_json)
     if sub == "margin":
         margins = profiles.majority_margins(R)
         print(json.dumps({"alternatives": R.alternatives, "margins": margins}))

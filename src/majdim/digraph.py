@@ -218,15 +218,25 @@ class CondensationResult:
 
 
 def condense(D: Digraph) -> CondensationResult:
-    """Group homogeneous vertices and return the condensed digraph."""
-    key_to_rep: dict[tuple[int, int], int] = {}
-    representative: dict[int, int] = {}
-    for v, key in enumerate(zip(D.out, D.into)):
-        representative[v] = key_to_rep.setdefault(key, v)
-    reps = sorted(set(representative.values()))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    class_of = {v: rep_index[representative[v]] for v in range(D.n)}
-    return CondensationResult(representative, class_of, induced(D, reps))
+    """Group homogeneous vertices and return the condensed digraph.
+
+    A vertex is keyed by one set built from the arcs: its out-neighbours w
+    and, as ~u, its in-neighbours u.  The sets hold 2 * #arcs items in all,
+    where hashing the n-bit rows `out` and `into` would take about n^2 / 30
+    words.  A key enters `first` at its least vertex, so the representatives
+    come in order.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(D.n)]
+    for u, v in D.arcs:
+        nbrs[u].append(v)
+        nbrs[v].append(~u)
+    first: dict[frozenset[int], int] = {}
+    representative = {v: first.setdefault(frozenset(row), v) for v, row in enumerate(nbrs)}
+    rep_index = {r: i for i, r in enumerate(first.values())}
+    class_of = {v: rep_index[r] for v, r in representative.items()}
+    arcs = frozenset((rep_index[u], rep_index[v]) for u, v in D.arcs
+                     if u in rep_index and v in rep_index)
+    return CondensationResult(representative, class_of, Digraph(len(rep_index), arcs))
 
 
 def disjoint_union(parts: list[Digraph] | tuple[Digraph, ...]) -> Digraph:

@@ -184,9 +184,9 @@ class _Space:
     itertools.product order.  eq[i][r] and below[i][r] hold the vectors
     whose coordinate i equals r or lies below r; every other mask is
     combined from them.  A candidate's relation row is built on first use
-    and kept: at most one row per vector, 3 * N bits each for N vectors
-    (5 * N at d = 3).  ties[x] has bit i set when coordinates i and i + 1
-    of vectors[x] are equal.
+    and kept in a list indexed by vector: at most one row per vector,
+    3 * N bits each for N vectors (5 * N at d = 3).  ties[x] has bit i set
+    when coordinates i and i + 1 of vectors[x] are equal.
 
     Per-column sets of values are ints as well, with one field of
     nranks + 1 bits per column: bit i * (nranks + 1) + r stands for value r
@@ -217,7 +217,7 @@ class _Space:
             *([1 << i * width + r for r in range(1, nranks + 1)] for i in range(d)))))
         self.top = sum(1 << i * width + nranks for i in range(d))  # every ceiling at nranks
         self.ties = [sum(1 << i for i in range(d - 1) if x[i] == x[i + 1]) for x in self.vectors]
-        self._rows: dict[int, tuple[int, ...]] = {}
+        self._rows: list[tuple[int, ...] | None] = [None] * len(self.vectors)
         self._tight_fields: dict[int, int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
 
@@ -229,7 +229,7 @@ class _Space:
         five entries, and row[2] and row[-2] keep only the x of row[1] and
         row[-1] that share no coordinate value with vectors[c].
         """
-        row = self._rows.get(c)
+        row = self._rows[c]
         if row is None:
             # levels[k]: the x whose margin over the coordinates seen so
             # far is k - i; each coordinate moves every x down, across or up.
@@ -341,7 +341,11 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
         # Place u; rest holds the other unassigned vertices in tie-break order.
         nonlocal nodes, budget_hit
         need_u = need[u]
-        for c in bits(doms[u] & space.mask(pattern, used, ceilings)):
+        cand = doms[u] & space.mask(pattern, used, ceilings)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
             if nodes >= budget:
                 budget_hit = True
                 return False

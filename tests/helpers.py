@@ -97,6 +97,18 @@ def naive_homogeneous(D, u, v):
     )
 
 
+def naive_condense(D):
+    """(representative, class_of, condensed) from the CondensationResult
+    definition: each vertex's least homogeneous vertex, the index of that
+    representative among the sorted ones, and the subdigraph they induce."""
+    representative = {u: min(v for v in range(D.n) if naive_homogeneous(D, u, v))
+                      for u in range(D.n)}
+    reps = sorted(set(representative.values()))
+    class_of = {v: reps.index(representative[v]) for v in range(D.n)}
+    arcs = {(reps.index(u), reps.index(v)) for u, v in D.arcs if u in reps and v in reps}
+    return representative, class_of, Digraph(len(reps), frozenset(arcs))
+
+
 def naive_induced_two_paths(D):
     """Every (x, y, z) with arcs x -> y -> z, x != z and x, z non-adjacent."""
     return {

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -527,6 +528,55 @@ def test_sweep_searches_each_isomorphism_class_once(capsys, monkeypatch, argv):
     monkeypatch.setattr(solver, "dimension", counting_dimension)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == 42
+
+
+def _serial_rows(monkeypatch):
+    """Stub `_sweep_row` so that a row's dimension is the serial number of
+    the search that made it, and collect the searched digraphs."""
+    searched = []
+
+    def serial_row(D, code, budget, max_d):
+        searched.append(D)
+        return cli.SweepRow(code, D.n, len(D.arcs), len(searched), 0, 0, False, False, False)
+
+    monkeypatch.setattr(cli, "_sweep_row", serial_row)
+    return searched
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_sweep_walk_classes_are_isomorphism_classes(monkeypatch, n):
+    # A later member carries the row, hence the serial, of the search its
+    # class index points at.
+    _serial_rows(monkeypatch)
+    rows = list(_sweep_rows(n, False, solver.DEFAULT_BUDGET, None))
+    canon = [brute_canonical_code(D) for D in all_labeled_digraphs(n)]
+    assert len(rows) == len(canon) == 3 ** (n * (n - 1) // 2)
+    for (a, ca), (b, cb) in itertools.combinations(zip(rows, canon), 2):
+        assert (a.dimension == b.dimension) == (ca == cb), (a.digraph_code, b.digraph_code)
+
+
+def test_sweep_dedup_code_is_the_least_sorted_image_arc_list(monkeypatch):
+    searched = _serial_rows(monkeypatch)
+    rows = list(_sweep_rows(5, True, solver.DEFAULT_BUDGET, None))
+    assert len(rows) == len(searched) == 582
+    for row, D in zip(rows, searched):
+        least = min(sorted((p[u], p[v]) for u, v in D.arcs)
+                    for p in itertools.permutations(range(5)))
+        assert row.digraph_code == _code(build(5, least))
+
+
+def test_sweep_five_dedup_walk_stays_small(monkeypatch):
+    # Keeping a frozenset per image peaked at about 65 MB on this walk; it
+    # keeps one class index per state and one table per relabeling.
+    _serial_rows(monkeypatch)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in _sweep_rows(5, True, solver.DEFAULT_BUDGET, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 582
+    assert peak < 4 * 2**20
 
 
 def test_sweep_under_small_budget_gives_isomorphic_digraphs_equal_rows(capsys):

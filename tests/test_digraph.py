@@ -35,6 +35,7 @@ from majdim import (
 from majdim.digraph import parse_int
 from helpers import (
     all_labeled_digraphs,
+    naive_condense,
     naive_homogeneous,
     naive_induced_two_paths,
     naive_is_acyclic_tournament,
@@ -126,6 +127,29 @@ def test_condense_classes_match_first_principles():
             same = [v for v in range(D.n) if naive_homogeneous(D, u, v)]
             assert cr.representative[u] == min(same)
             assert [v for v in range(D.n) if cr.class_of[v] == cr.class_of[u]] == same
+
+
+def test_condense_matches_its_definition_on_seeded_random_digraphs():
+    # Blow-ups of random digraphs give classes of many homogeneous vertices,
+    # plain random digraphs mostly singletons.
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randrange(0, 13)
+        base = random_digraph(rng, rng.randrange(1, 6))
+        blow = [rng.randrange(base.n) for _ in range(n)]
+        for D in (random_digraph(rng, n),
+                  Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                                       if (blow[u], blow[v]) in base.arcs))):
+            cr = condense(D)
+            assert (cr.representative, cr.class_of, cr.condensed) == naive_condense(D)
+
+
+def test_condense_reads_arcs_not_rows():
+    # Keying by the n-bit rows hashes about n^2 / 30 words in all: 0.39 s of
+    # condense(path(20000)).  The neighbour sets hold 2 * #arcs items.
+    D = path(20000)
+    assert condense(D).condensed == D
+    assert "out" not in vars(D) and "into" not in vars(D)
 
 
 def test_neighbour_rows_are_built_on_first_use():
