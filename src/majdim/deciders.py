@@ -45,7 +45,8 @@ def _degree_groups(D: Digraph) -> dict[tuple[int, int], int]:
     return {key: int.from_bytes(group, "little") for key, group in groups.items()}
 
 
-def induced_copy(P: Digraph, D: Digraph, budget: int) -> tuple[tuple[int, ...] | None, int, bool]:
+def induced_copy(P: Digraph, D: Digraph, budget: int,
+                 pin: tuple[int, int] | None = None) -> tuple[tuple[int, ...] | None, int, bool]:
     """Find P as an induced subdigraph of D by backtracking, VF2-style.
 
     Returns (embedding, nodes, complete).  embedding[i] is the vertex of D
@@ -61,7 +62,9 @@ def induced_copy(P: Digraph, D: Digraph, budget: int) -> tuple[tuple[int, ...] |
     bitset: the unused vertices of D whose out- and in-degrees are at least
     p's (an induced copy keeps every arc at a vertex), ANDed with one row
     per placed vertex q, the in- or out-neighbours of q's image or the
-    complement of both, as p relates to q.
+    complement of both, as p relates to q.  A pin (p, t) places p first,
+    with t as its only candidate; with P = D, a copy is an automorphism
+    mapping p to t.
     """
     k, n = P.n, D.n
     if k > n:
@@ -70,7 +73,8 @@ def induced_copy(P: Digraph, D: Digraph, budget: int) -> tuple[tuple[int, ...] |
     links = [0] * k  # arcs from each unplaced vertex to the placed ones
     left = set(range(k))
     while left:
-        p = min(left, key=lambda v: (-links[v], -(P.out[v] | P.into[v]).bit_count(), v))
+        p = pin[0] if pin and not order else min(
+            left, key=lambda v: (-links[v], -(P.out[v] | P.into[v]).bit_count(), v))
         left.remove(p)
         order.append(p)
         for q in bits(P.out[p] | P.into[p]):
@@ -82,6 +86,8 @@ def induced_copy(P: Digraph, D: Digraph, budget: int) -> tuple[tuple[int, ...] |
     allowed = [sum(row for (o, i), row in groups.items()
                    if o >= P.out[p].bit_count() and i >= P.into[p].bit_count())
                for p in order]
+    if pin:
+        allowed[0] &= 1 << pin[1]
     out, into = D.out, D.into
     image = [0] * k
     nodes = 0

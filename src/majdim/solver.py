@@ -70,6 +70,26 @@ Pruning, all of it completeness-preserving:
   as a bitset (a Python int, bit x for vector x), which is intersected
   with the relation row of each newly placed vertex; an empty candidate
   set prunes immediately.
+* first-vertex orbit - let first be the root vertex, order[0], and O the
+  vertices w != first that some automorphism of D is shown to map first
+  to (`_first_orbit`).  Once first takes vector c, each w in O keeps only
+  the vectors whose sorted coordinates are lexicographically >= sorted(c),
+  its key: the mask `_Space.at_least(c)` joins w's domain.  If f is a
+  realizer and s an automorphism, f o s is a realizer too, since s maps
+  arcs to arcs and non-arcs to non-arcs; it is rank-compressed when f is,
+  since each column keeps its values, and it meets the d = 3 rule, since
+  s maps induced two-paths to induced two-paths.  Start from a compressed
+  realizer f and take s mapping first to a vertex of least key under f in
+  first's whole orbit; s maps each w of O, a vertex of that orbit, into
+  it, so under f o s no w in O has a key below first's.  A column
+  permutation keeps every sorted key, so sorting first's vector into
+  column order, and each later step of the column-symmetry induction,
+  keep the key masks met, and rank compression goes through unchanged.
+  The argument needs each w in O to be an image of first, not every image
+  to be in O, so matcher runs cut short by their cap may leave w out.
+  The root's first candidate (1, ..., 1) has the least key, so its masks
+  would hold every vector; the orbit is only scanned, once per digraph,
+  when the root moves past it.
 * three-dimensional no-shared-coordinate rule - in R^3, if x -> y -> z is
   an induced two-path then a realizer gives x, y (and y, z) no equal
   coordinate, so need marks those pairs +-2 once, however many two-paths
@@ -83,7 +103,10 @@ Budgets are node counts, not wall time, so runs are reproducible; running
 out of budget is a verdict, never an error.  A level whose space n^d holds
 more than _SPACE_SIZE_LIMIT vectors is not searched and gets the same
 budget-exceeded verdict after 0 nodes.  All entry points are pure
-functions and may be called concurrently.
+functions and may be called concurrently: the caches of spaces, masks and
+per-digraph plans only hold values that depend on their keys alone, so a
+race builds one twice, never differently, and no answer depends on the
+calls before it.
 """
 
 from __future__ import annotations
@@ -192,7 +215,8 @@ class _Space:
     nranks + 1 bits per column: bit i * (nranks + 1) + r stands for value r
     in column i, and bit 0 of every field stays clear.  value_bits[x] holds
     the d values of vectors[x].  The masks that `mask` builds are kept up
-    to 4 * N at a time, N bits each.
+    to 4 * N at a time, N bits each, and `fewer` keeps d + 1 masks for
+    each threshold 1..nranks + 1 it is asked for.
     """
 
     def __init__(self, nranks: int, d: int):
@@ -220,6 +244,7 @@ class _Space:
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.vectors)
         self._tight_fields: dict[int, int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
+        self._fewer: list[list[int] | None] = [None] * (nranks + 2)
 
     def row(self, c: int) -> tuple[int, ...]:
         """Relation row of vectors[c], indexed by a need value s.
@@ -257,6 +282,46 @@ class _Space:
                 row = levels[self.d], pos, neg
             self._rows[c] = row
         return row
+
+    def fewer(self, r: int) -> list[int]:
+        """fewer(r)[k]: the vectors with fewer than k coordinates below r,
+        for k in 0..d, that is, whose k-th smallest coordinate is >= r.
+
+        Built on first use by counting coordinates below r one column at a
+        time, and kept: d + 1 masks for each r in 1..nranks + 1.
+        """
+        fewer = self._fewer[r]
+        if fewer is None:
+            levels = [self.full]  # levels[j]: exactly j coordinates below r so far
+            for below in self.below:
+                lt = below[r] if r <= self.nranks else self.full
+                ge = self.full ^ lt
+                nxt = [0] * (len(levels) + 1)
+                for j, level in enumerate(levels):
+                    nxt[j] |= level & ge
+                    nxt[j + 1] |= level & lt
+                levels = nxt
+            fewer = [0]
+            for level in levels[: self.d]:
+                fewer.append(fewer[-1] | level)
+            self._fewer[r] = fewer
+        return fewer
+
+    def at_least(self, c: int) -> int:
+        """Set of vectors whose sorted coordinates are lexicographically >=
+        those of vectors[c], the key mask of the orbit rule.
+
+        With s = sorted(vectors[c]) and x' = sorted(x), x' >= s from
+        position k on when x'_k > s_k, or when x'_k = s_k and x' >= s from
+        k + 1 on.  x'_k > s_k is fewer(s_k + 1)[k], which lies inside
+        x'_k >= s_k, fewer(s_k)[k], so reading s from its last position
+        back takes two cached masks and two operations per position.
+        """
+        s = sorted(self.vectors[c])
+        key = self.full
+        for k in range(self.d, 0, -1):
+            key = self.fewer(s[k - 1] + 1)[k] | self.fewer(s[k - 1])[k] & key
+        return key
 
     def mask(self, pattern: int, used: int, ceilings: int) -> int:
         """Set of vectors the next vertex may take under both symmetry rules.
@@ -308,6 +373,80 @@ def _space_for(nranks: int, d: int) -> _Space:
     return _Space(nranks, d)
 
 
+def _first_orbit(D: Digraph, first: int) -> tuple[int, ...]:
+    """Vertices w != first that an automorphism of D is shown to map first to.
+
+    Each w with first's out- and in-degree gets one run of the induced
+    subdigraph matcher from D to itself with first pinned to w, capped at
+    n^2 matcher nodes.  A copy of D on all its n vertices is an
+    automorphism s, and s, s^2, ... carry first around its whole cycle of
+    s, so that cycle joins the orbit at once.  A run the cap cuts short
+    leaves w out: the orbit rule needs every vertex kept to be an image,
+    not every image kept.
+    """
+    n, out, into = D.n, D.out, D.into
+    degree = out[first].bit_count(), into[first].bit_count()
+    alike = [w for w in range(n)
+             if w != first and (out[w].bit_count(), into[w].bit_count()) == degree]
+    if not alike:
+        return ()
+    from .deciders import induced_copy
+
+    orbit: set[int] = set()
+    for w in alike:
+        if w in orbit:
+            continue
+        sigma, _, _ = induced_copy(D, D, n * n, pin=(first, w))
+        if sigma is not None:
+            while w != first:
+                orbit.add(w)
+                w = sigma[w]
+    return tuple(sorted(orbit))
+
+
+class _Plan:
+    """What the search needs of D at every d, built once per digraph.
+
+    weight[v] is 1 + degree(v), order the vertices in (-degree, v) order
+    and need[u][w] the required sign of margin(w, u).  need3 is a copy of
+    need with the d = 3 rule's +-2 entries, and orbit the vertex set O of
+    the orbit rule; both are built on first use.
+    """
+
+    def __init__(self, D: Digraph):
+        n = D.n
+        self.D = D
+        self.weight = [1 + (out | into).bit_count() for out, into in zip(D.out, D.into)]
+        self.order = sorted(range(n), key=lambda v: (-self.weight[v], v))
+        self.need = [[0] * n for _ in range(n)]
+        for u, v in D.arcs:
+            self.need[v][u] = 1
+            self.need[u][v] = -1
+        self._need3: list[list[int]] | None = None
+        self._orbit: tuple[int, ...] | None = None
+
+    def need3(self) -> list[list[int]]:
+        if self._need3 is None:
+            need = [list(row) for row in self.need]
+            for x, y, z in induced_two_paths(self.D):  # its arcs share no coordinate
+                for u, v in ((x, y), (y, z)):
+                    need[v][u] = 2
+                    need[u][v] = -2
+            self._need3 = need
+        return self._need3
+
+    def orbit(self) -> tuple[int, ...]:
+        if self._orbit is None:
+            self._orbit = _first_orbit(self.D, self.order[0])
+        return self._orbit
+
+
+@lru_cache(maxsize=1)
+def _plan(D: Digraph) -> _Plan:
+    # Kept for the last digraph, which every level of a climb searches.
+    return _Plan(D)
+
+
 def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """Decide by complete backtracking whether D has a d-dimensional realizer."""
     _check_count("dimension", d)
@@ -318,17 +457,9 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     if n**d > _SPACE_SIZE_LIMIT:
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
-    weight = [1 + (out | into).bit_count() for out, into in zip(D.out, D.into)]  # 1 + degree
-    need = [[0] * n for _ in range(n)]  # need[u][w]: required sign of margin(w, u)
-    for u, v in D.arcs:
-        need[v][u] = 1
-        need[u][v] = -1
-    if d == 3:  # arcs of an induced two-path share no coordinate
-        for x, y, z in induced_two_paths(D):
-            for u, v in ((x, y), (y, z)):
-                need[v][u] = 2
-                need[u][v] = -2
-    order = sorted(range(n), key=lambda v: (-weight[v], v))
+    plan = _plan(D)
+    weight, order = plan.weight, plan.order
+    need = plan.need3() if d == 3 else plan.need  # need[u][w]: required sign of margin(w, u)
 
     above_any = len(space.vectors) + 1  # exceeds every domain size
     value_bits, ties = space.value_bits, space.ties
@@ -378,7 +509,25 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                 return False
         return False
 
-    found = descend(order[0], order[1:], [space.full] * n, (1 << max(d - 1, 0)) - 1, 0, space.top)
+    # The root's candidates one at a time, each bounding the orbit's keys.
+    first, rest = order[0], order[1:]
+    pattern = (1 << max(d - 1, 0)) - 1
+    cand = space.mask(pattern, 0, space.top)
+    found = False
+    while cand and not found and not budget_hit:
+        low = cand & -cand
+        doms = [space.full] * n
+        if low != 1:
+            orbit = plan.orbit()
+            if orbit:
+                key = space.at_least(low.bit_length() - 1)
+                for w in orbit:
+                    doms[w] = key
+            else:
+                low = cand  # no keys to bound: the other candidates in one call
+        cand ^= low
+        doms[first] = low
+        found = descend(first, rest, doms, pattern, 0, space.top)
     if found:
         witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
         if not verify(D, witness).valid:

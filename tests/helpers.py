@@ -75,6 +75,28 @@ def brute_canonical_code(D):
     )
 
 
+def brute_orbit(D, v):
+    """Every vertex other than v that some automorphism of D maps v to: a
+    vertex permutation carrying every arc to an arc, and so, D being
+    finite, its arc set onto itself."""
+    return {
+        p[v]
+        for p in itertools.permutations(range(D.n))
+        if all((p[a], p[b]) in D.arcs for a, b in D.arcs)
+    } - {v}
+
+
+def cyclic_tournament(n):
+    """For odd n, vertex i beats i + 1, ..., i + (n - 1) / 2 mod n: a
+    tournament whose rotations are automorphisms."""
+    return Digraph(n, frozenset((i, (i + j) % n) for i in range(n) for j in range(1, (n + 1) // 2)))
+
+
+def relabeled(D, perm):
+    """D with vertex v renamed perm[v]."""
+    return build(D.n, [(perm[u], perm[v]) for u, v in D.arcs])
+
+
 def naive_is_transitive(D):
     """(x, z) is an arc for every pair of arcs (x, y), (y, z)."""
     return all((x, z) in D.arcs for x, y in D.arcs for y2, z in D.arcs if y2 == y)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -32,13 +33,16 @@ from majdim import (
     verify,
 )
 from majdim.deciders import _obstructions, induced_copy
-from majdim.solver import _Space
+from majdim.solver import _first_orbit, _plan, _Space, _space_for
 from helpers import (
     all_labeled_digraphs,
+    brute_orbit,
+    cyclic_tournament,
     naive_margin,
     naive_realizable,
     quadratic_es,
     random_digraph,
+    relabeled,
     static_order_search,
 )
 
@@ -174,10 +178,8 @@ def test_rules_agree_with_search_on_paths_and_cycles(n):
 
 @pytest.mark.parametrize("name, P, k", _obstructions(),
                          ids=[name for name, _, _ in _obstructions()])
-def test_obstructions_are_certified_by_search(name, P, k, hard_mode):
+def test_obstructions_are_certified_by_search(name, P, k):
     # Exhausted at k - 1, a verified witness at k.
-    if name == "subset_family(4, 1)" and not hard_mode:
-        pytest.skip("1.2M-node exhaustion at d = 3: run with --hard")
     assert is_realizable(P, k - 1).verdict is Verdict.NOT_REALIZABLE
     outcome = is_realizable(P, k)
     assert outcome.verdict is Verdict.REALIZABLE
@@ -216,6 +218,49 @@ def test_induced_copy_stops_at_its_budget():
     assert induced_copy(path(6), path(7), 3) == (None, 3, False)
     assert induced_copy(path(6), path(7), 6) == ((0, 1, 2, 3, 4, 5), 6, True)
     assert induced_copy(path(6), path(5), 0) == (None, 0, True)
+
+
+def test_induced_copy_honours_its_pin():
+    assert induced_copy(cycle(5), cycle(5), 25, pin=(0, 2)) == ((2, 3, 4, 0, 1), 5, True)
+    assert induced_copy(path(2), path(3), 25, pin=(1, 0)) == (None, 0, True)
+    assert induced_copy(path(3), path(5), 25, pin=(0, 2)) == ((2, 3, 4), 3, True)
+
+
+def test_first_orbit_matches_brute_force_on_small_digraphs():
+    for n in range(5):
+        for D in all_labeled_digraphs(n):
+            for v in range(n):
+                assert set(_first_orbit(D, v)) == brute_orbit(D, v), (sorted(D.arcs), v)
+
+
+def test_first_orbit_matches_brute_force_on_symmetric_and_random_digraphs():
+    rng = random.Random(71)
+    cases = [random_digraph(rng, rng.randrange(1, 7)) for _ in range(60)]
+    symmetric = [disjoint_union([cycle(3)] * 2), disjoint_union([cycle(4), path(2)]),
+                 disjoint_union([path(2)] * 3), disjoint_union([path(3)] * 2), cycle(6),
+                 cyclic_tournament(5), cyclic_tournament(7)]
+    for D in symmetric:
+        perm = list(range(D.n))
+        rng.shuffle(perm)
+        cases += [D, relabeled(D, perm)]
+    # Random digraphs with many automorphisms: copies of one random part.
+    cases += [disjoint_union([random_digraph(rng, 3)] * 2) for _ in range(20)]
+    moved = 0
+    for D in cases:
+        for v in range(D.n):
+            orbit = brute_orbit(D, v)
+            assert set(_first_orbit(D, v)) == orbit, (D.n, sorted(D.arcs), v)
+            moved += bool(orbit)
+    assert moved > len(cases)
+
+
+@pytest.mark.parametrize("nranks, d", [(1, 3), (3, 0), (3, 1), (4, 2), (4, 3), (2, 4)])
+def test_key_mask_matches_sorted_order(nranks, d):
+    space = _Space(nranks, d)
+    for c, vc in enumerate(space.vectors):
+        key = space.at_least(c)
+        for x, vx in enumerate(space.vectors):
+            assert key >> x & 1 == (sorted(vx) >= sorted(vc)), (vc, vx)
 
 
 def test_dimension_one_characterization_via_search():
@@ -337,6 +382,60 @@ def test_every_witness_is_rank_compressed():
     assert realizable > len(cases) // 2
 
 
+def test_cycle10_d3_exhaustion_is_pinned():
+    # The orbit rule's largest tier-1 exhaustion; 478,735 nodes without it.
+    outcome = is_realizable(cycle(10), 3)
+    assert (outcome.verdict, outcome.nodes_explored) == (Verdict.NOT_REALIZABLE, 86962)
+
+
+def test_search_does_not_depend_on_call_history():
+    # The per-digraph plan and the spaces are cached; what a call returns
+    # must not depend on which calls came before it.
+    cases = [(cycle(6), 3), (cycle(5), 4), (subset_family(3, 1), 3), (cyclic_tournament(5), 4)]
+    for D, d in cases:
+        _plan.cache_clear()
+        _space_for.cache_clear()
+        expected = is_realizable(D, d)
+        dimension(D)
+        assert is_realizable(D, d) == expected
+        for other in (4, 3, 2):
+            is_realizable(D, other)
+        assert is_realizable(D, d) == expected
+        is_realizable(path(5), 3)
+        assert is_realizable(D, d) == expected
+
+
+def test_search_answers_the_same_under_concurrent_calls():
+    # Threads share the per-digraph plan and the spaces; each call must
+    # still return what it returns alone.
+    cases = [(cycle(5), 3), (cycle(6), 2), (subset_family(3, 1), 3),
+             (cyclic_tournament(5), 4), (path(5), 3)]
+    expected = [is_realizable(D, d) for D, d in cases]
+    mismatches = []
+
+    def work(shift):
+        for _ in range(3):
+            for i in range(len(cases)):
+                k = (i + shift) % len(cases)
+                D, d = cases[k]
+                _plan.cache_clear()
+                if is_realizable(D, d) != expected[k]:
+                    mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
 def test_solver_nodes_are_deterministic():
     a = is_realizable(cycle(4), 3)
     b = is_realizable(cycle(4), 3)
@@ -349,8 +448,8 @@ def test_solver_nodes_are_deterministic():
     [
         (path(5), None, [0, 0, 51, 24]),
         (path(6), None, [0, 0, 94, 4428, 68]),
-        (cycle(5), None, [0, 0, 51, 948, 103]),
-        (cycle(6), None, [0, 0, 94, 4233, 68]),
+        (cycle(5), None, [0, 0, 15, 276, 38]),
+        (cycle(6), None, [0, 0, 21, 1264, 14]),
         (path(8), 4, [4682]),
         (path(9), 4, [8584]),
     ],
@@ -376,11 +475,11 @@ _LOW = [("empty", 0), ("condensed_tournament", 0)]
         (path(6), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (path(7), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (cycle(5), _LOW + [("transitivity", 0), ("obstruction", 5), ("ceiling", 0)]),
-        (cycle(6), _LOW + [("transitivity", 0), ("search", 4233), ("ceiling", 0)]),
+        (cycle(6), _LOW + [("transitivity", 0), ("search", 1264), ("ceiling", 0)]),
         (cycle(7), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (path(10), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (cycle(10), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
-        (subset_family(3, 1), _LOW + [("obstruction", 6), ("search", 111)]),
+        (subset_family(3, 1), _LOW + [("obstruction", 6), ("search", 79)]),
     ],
     ids=["path5", "path6", "path7", "cycle5", "cycle6", "cycle7", "path10", "cycle10",
          "subset_family31"],
@@ -447,6 +546,32 @@ def test_fail_first_matches_static_order_on_random_digraphs():
         D = random_digraph(rng, rng.randrange(1, 7))
         for d in (2, 3, 4):
             _assert_same_verdict(D, d)
+
+
+_SYMMETRIC = (
+    [(f"cycle({n})", cycle(n), (2, 3, 4)) for n in range(3, 10)]
+    + [(f"cyclic_tournament({n})", cyclic_tournament(n), (2, 3, 4)) for n in (3, 5, 7)]
+    + [("2 x cycle(3)", disjoint_union([cycle(3)] * 2), (2, 3, 4)),
+       ("2 x cycle(4)", disjoint_union([cycle(4)] * 2), (2, 3, 4)),
+       ("3 x cycle(3)", disjoint_union([cycle(3)] * 3), (2,)),
+       ("3 x path(2)", disjoint_union([path(2)] * 3), (2, 3, 4)),
+       ("2 x path(3)", disjoint_union([path(3)] * 2), (2, 3, 4)),
+       ("2 x path(4)", disjoint_union([path(4)] * 2), (2, 3, 4)),
+       ("3 x path(3)", disjoint_union([path(3)] * 3), (2, 3)),
+       ("subset_family(3, 1)", subset_family(3, 1), (2, 3, 4))]
+)
+
+
+@pytest.mark.parametrize("name, D, levels", _SYMMETRIC, ids=[name for name, _, _ in _SYMMETRIC])
+def test_orbit_rule_matches_static_order_on_symmetric_digraphs(name, D, levels):
+    # Inputs whose first vertex has a nontrivial orbit, where the orbit rule
+    # cuts; the static order runs without it.
+    assert _first_orbit(D, _plan(D).order[0])
+    for d in levels:
+        _assert_same_verdict(D, d)
+        outcome = is_realizable(D, d)
+        if outcome.verdict is Verdict.REALIZABLE:
+            assert _is_compressed(outcome.witness), (name, d, outcome.witness)
 
 
 def _shuffled(D, rng):
