@@ -7,6 +7,10 @@ Digraphs travel as edge-list text (first line the vertex count, then one
 Exit codes: 0 success, 1 negative answer on a valid run (invalid realizer,
 dimension not pinned down), 2 input error or out of memory, 3 internal
 invariant breach.
+
+`main` registers only the subparser of the command that argv[0] names
+(every command for anything else: no argv, -h, an unknown word), because
+building all eight takes about 1 ms, as long as a small `dim` job.
 """
 
 from __future__ import annotations
@@ -389,67 +393,66 @@ def _cmd_es(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_BOUNDS = [("--max-d", {"type": _nonnegative_int, "default": None}),
+           ("--budget", {"type": _nonnegative_int, "default": solver.DEFAULT_BUDGET})]
+
+# name: (handler, help, arguments); an argument is its flags, then add_argument's options.
+_COMMANDS = {
+    "gen": (_cmd_gen, "emit a named digraph family as an edge list", [
+        ("family", {"choices": sorted(FAMILIES)}),
+        ("params", {"nargs": "+", "type": _int}),
+        ("--dot", {"action": "store_true", "help": "emit DOT instead of an edge list"})]),
+    "verify": (_cmd_verify, "check a realizer against a digraph",
+               [("digraph", {}), ("realizer", {})]),
+    "realize": (_cmd_realize, "construct a realizer (self-verified before emit)", [
+        ("method", {"choices": ["path", "cycle", "tournament", "empty", "generic", "union",
+                                "condense-lift"]}),
+        ("params", {"nargs": "*", "type": _int}),
+        ("--digraph", "-d", {"action": "append", "default": [], "metavar": "FILE"})]),
+    "dim": (_cmd_dim, "exact weak majority dimension: proved rules, then search",
+            [("digraph", {}), *_BOUNDS]),
+    "condense": (_cmd_condense, "homogeneous-class condensation", [
+        ("digraph", {}),
+        ("--dot", {"action": "store_true", "help": "emit the condensed digraph as DOT"})]),
+    "sweep": (_cmd_sweep, "dimensions of every labeled digraph on n vertices", [
+        ("n", {"type": _int}), *_BOUNDS,
+        ("--dedup", {"action": "store_true", "help": "one row per isomorphism class"}),
+        ("--csv", {"action": "store_true", "help": "CSV rows instead of JSON lines"})]),
+    "profile": (_cmd_profile, "majority margins and realizer correspondence", [
+        ("subcommand", {"choices": ["margin", "digraph", "to-realizer", "from-realizer"]}),
+        ("file", {})]),
+    "es": (_cmd_es, "longest chain or antichain of planar points",
+           [("points", {"help": "text file with one 'x y' point per line"})]),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The majdim parser with every command, or with the named one alone.
+
+    argparse names the command argument by its metavar in error messages
+    when one is set, so only the one-command parser sets it, to keep the
+    usage line listing every command.
+    """
     parser = argparse.ArgumentParser(
         prog="majdim",
         description="Weak majority dimension toolkit: verify realizers, build them, "
         "compute exact dimensions, condense digraphs, and relate profiles to realizers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a named digraph family as an edge list")
-    p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("params", nargs="+", type=_int)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of an edge list")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("verify", help="check a realizer against a digraph")
-    p.add_argument("digraph")
-    p.add_argument("realizer")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("realize", help="construct a realizer (self-verified before emit)")
-    p.add_argument(
-        "method",
-        choices=["path", "cycle", "tournament", "empty", "generic", "union", "condense-lift"],
-    )
-    p.add_argument("params", nargs="*", type=_int)
-    p.add_argument("--digraph", "-d", action="append", default=[], metavar="FILE")
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("dim", help="exact weak majority dimension: proved rules, then search")
-    p.add_argument("digraph")
-    p.add_argument("--max-d", type=_nonnegative_int, default=None)
-    p.add_argument("--budget", type=_nonnegative_int, default=solver.DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("condense", help="homogeneous-class condensation")
-    p.add_argument("digraph")
-    p.add_argument("--dot", action="store_true", help="emit the condensed digraph as DOT")
-    p.set_defaults(func=_cmd_condense)
-
-    p = sub.add_parser("sweep", help="dimensions of every labeled digraph on n vertices")
-    p.add_argument("n", type=_int)
-    p.add_argument("--max-d", type=_nonnegative_int, default=None)
-    p.add_argument("--budget", type=_nonnegative_int, default=solver.DEFAULT_BUDGET)
-    p.add_argument("--dedup", action="store_true", help="one row per isomorphism class")
-    p.add_argument("--csv", action="store_true", help="CSV rows instead of JSON lines")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("profile", help="majority margins and realizer correspondence")
-    p.add_argument("subcommand", choices=["margin", "digraph", "to-realizer", "from-realizer"])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser("es", help="longest chain or antichain of planar points")
-    p.add_argument("points", help="text file with one 'x y' point per line")
-    p.set_defaults(func=_cmd_es)
-
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        func, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

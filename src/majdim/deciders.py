@@ -15,7 +15,6 @@ from functools import lru_cache
 from . import constructions
 from .digraph import (
     Digraph,
-    bits,
     build,
     condense,
     cycle,
@@ -70,15 +69,16 @@ def induced_copy(P: Digraph, D: Digraph, budget: int,
     if k > n:
         return None, 0, True
     order: list[int] = []
-    links = [0] * k  # arcs from each unplaced vertex to the placed ones
+    adjacent = [out | into for out, into in zip(P.out, P.into)]
+    degree = [row.bit_count() for row in adjacent]
+    placed = 0
     left = set(range(k))
     while left:
         p = pin[0] if pin and not order else min(
-            left, key=lambda v: (-links[v], -(P.out[v] | P.into[v]).bit_count(), v))
+            left, key=lambda v: (-(adjacent[v] & placed).bit_count(), -degree[v], v))
         left.remove(p)
         order.append(p)
-        for q in bits(P.out[p] | P.into[p]):
-            links[q] += 1
+        placed |= 1 << p
     # relation[i][j] for j < i: 1 if order[i] -> order[j], -1 if the reverse, 0 if apart
     relation = [[(P.out[p] >> q & 1) - (P.into[p] >> q & 1) for q in order[:i]]
                 for i, p in enumerate(order)]
@@ -99,13 +99,15 @@ def induced_copy(P: Digraph, D: Digraph, budget: int,
         for j, r in enumerate(relation[i]):
             t = image[j]
             cand &= into[t] if r > 0 else out[t] if r < 0 else ~(out[t] | into[t])
-        for t in bits(cand):
+        while cand:
             if nodes >= budget:
                 budget_hit = True
                 return False
             nodes += 1
-            image[i] = t
-            if i + 1 == k or place(i + 1, used | 1 << t):
+            low = cand & -cand
+            cand ^= low
+            image[i] = low.bit_length() - 1
+            if i + 1 == k or place(i + 1, used | low):
                 return True
             if budget_hit:
                 return False

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -22,7 +23,9 @@ from majdim import (
     cycle,
     majority_margin,
     path,
+    realize_path,
     realizer_from_json,
+    realizer_to_json,
     subset_family,
     to_edge_list,
     verify,
@@ -739,6 +742,56 @@ def test_console_entry_point_subprocess(tmp_path):
     assert json.loads(out.stdout)["dimension"] == 3
 
 
+def _every_command_parser(description):
+    """The parser `main` built for every argv before it built one command's:
+    all commands registered, no metavar on the command argument."""
+    parser = argparse.ArgumentParser(prog="majdim", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, arguments) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_bytes_match_the_every_command_parser(tmp_path, monkeypatch):
+    # Compared in-process, not with pinned strings: argparse's messages
+    # differ across Python versions.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g.txt", to_edge_list(path(3)))
+    write(tmp_path, "r.json", realizer_to_json(realize_path(3)))
+    write(tmp_path, "p.json", '{"alternatives": 3, "voters": [[3,2,1],[1,3,2],[2,1,3]]}')
+    write(tmp_path, "pts.txt", "1 5\n2 4\n3 3\n")
+    valid = {"gen": ["path", "3"], "verify": ["g.txt", "r.json"], "realize": ["path", "3"],
+             "dim": ["g.txt"], "condense": ["g.txt"], "sweep": ["2"],
+             "profile": ["margin", "p.json"], "es": ["pts.txt"]}
+    assert list(valid) == list(cli._COMMANDS)
+    corpus = [[], ["-h"], ["--help"], ["bogus"], ["sweep", "x"], ["realize", "nope"],
+              ["gen", "nofamily", "3"], ["dim", "g.txt", "--budget", "-1"]]
+    for command, args in valid.items():
+        corpus += [[command, "-h"], [command], [command, *args, "extra"], [command, *args]]
+    changed = {tuple(argv): _outcome(argv) for argv in corpus}
+    assert all(changed[command, *args][0] == 0 for command, args in valid.items())
+    for argv, outcome in changed.items():
+        assert _outcome(argv) == _outcome(arg for arg in argv) == outcome, argv
+    description = cli._build_parser().description
+    monkeypatch.setattr(cli, "_build_parser", lambda command: _every_command_parser(description))
+    for argv, outcome in changed.items():
+        assert _outcome(list(argv)) == outcome, argv
+
+
 # --- fuzz guard over every command -----------------------------------------
 #
 # Well-formed files have at most five vertices and every integer is small,
@@ -821,8 +874,11 @@ def _command_lines(draw):
     def number(flag):
         return [flag, draw(_SMALL)] if draw(st.booleans()) else []
 
-    command = draw(st.sampled_from(
-        ["gen", "verify", "realize", "dim", "condense", "sweep", "profile", "es"]))
+    # An empty argv and unknown words reach the parser with every command,
+    # the eight commands the one-command parser.
+    command = draw(st.sampled_from([*cli._COMMANDS, None, "bogus", "Dim", "", "--dot"]))
+    if command is None:
+        return [], files
     if command == "gen":
         family = draw(st.sampled_from(["empty", "path", "cycle", "tournament",
                                        "single-arc", "subset-family", "bogus"]))
@@ -851,9 +907,11 @@ def _command_lines(draw):
     elif command == "profile":
         sub = draw(st.sampled_from(["margin", "digraph", "to-realizer", "from-realizer"]))
         argv = [sub, file("realizer" if sub == "from-realizer" else "profile")]
-    else:
+    elif command == "es":
         argv = [file("points")]
-    junk = draw(st.sampled_from([None] * 12 + ["--bogus", "--dot", "--budget", "-d"]))
+    else:
+        argv = draw(st.lists(_SMALL, max_size=2))
+    junk = draw(st.sampled_from([None] * 12 + ["--bogus", "--dot", "--budget", "-d", "extra", "3"]))
     return [command, *argv, *filter(None, [junk])], files
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -224,6 +225,21 @@ def test_induced_copy_honours_its_pin():
     assert induced_copy(cycle(5), cycle(5), 25, pin=(0, 2)) == ((2, 3, 4, 0, 1), 5, True)
     assert induced_copy(path(2), path(3), 25, pin=(1, 0)) == (None, 0, True)
     assert induced_copy(path(3), path(5), 25, pin=(0, 2)) == ((2, 3, 4), 3, True)
+
+
+def test_induced_copy_results_are_pinned():
+    # Embeddings and node counts depend on the vertex order and the
+    # candidate order, which the other matcher tests leave free; this pins both.
+    rng = random.Random(83)
+    entries = [P for _, P, _ in _obstructions()]
+    digest = hashlib.sha256()
+    for _ in range(200):
+        D = random_digraph(rng, rng.randrange(1, 9))
+        for P in [*entries, D]:
+            pin = (rng.randrange(P.n), rng.randrange(D.n)) if rng.random() < 0.5 else None
+            digest.update(repr(induced_copy(P, D, rng.choice([2, 10, 10**6]), pin)).encode())
+    assert digest.hexdigest() == (
+        "2ef16ea7b7547cbc495fe4b126fc6b925cbacdc8a9a956fa6e92bc4b3a482873")
 
 
 def test_first_orbit_matches_brute_force_on_small_digraphs():
