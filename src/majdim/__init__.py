@@ -46,6 +46,7 @@ from .realizer import (
     MissingVertex,
     Realizer,
     RealizerError,
+    SelfCheckFailed,
     VerifyReport,
     Violation,
     extend_dims,

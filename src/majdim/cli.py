@@ -6,7 +6,8 @@ Digraphs travel as edge-list text (first line the vertex count, then one
 
 Exit codes: 0 success, 1 negative answer on a valid run (invalid realizer,
 dimension not pinned down), 2 input error or out of memory, 3 internal
-invariant breach.
+invariant breach: a failed self-check (`realizer.SelfCheckFailed`) in
+`dim`, `sweep` or `realize`, or a sweep summary fact that does not hold.
 
 `main` registers only the subparser of the command that argv[0] names
 (every command for anything else: no argv, -h, an unknown word), because
@@ -26,7 +27,6 @@ from typing import NamedTuple
 from . import constructions, profiles, solver
 from .digraph import (
     FAMILIES,
-    BadParams,
     Digraph,
     DigraphError,
     EdgeListError,
@@ -45,18 +45,16 @@ from .digraph import (
 from .realizer import (
     Realizer,
     RealizerError,
+    SelfCheckFailed,
     realizer_from_json,
     realizer_to_json,
+    verified,
     verify,
 )
 
 
 class ParseError(ValueError):
     """Input file failed to parse."""
-
-
-class SelfVerifyFailed(RuntimeError):
-    """A construction emitted a realizer that does not verify: a bug."""
 
 
 def _int(text: str) -> int:
@@ -139,9 +137,7 @@ def _cmd_verify(args) -> int:
 
 
 def _emit_realizer(D: Digraph, f: Realizer) -> int:
-    if not verify(D, f).valid:
-        raise SelfVerifyFailed("constructed realizer failed self-verification")
-    print(realizer_to_json(f))
+    print(realizer_to_json(verified(D, f, "construction")))
     return 0
 
 
@@ -264,7 +260,7 @@ def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRo
     )
     if row.dimension is not None:
         if row.dimension > 2 * row.arc_count or (row.dimension == 0) != (row.arc_count == 0):
-            raise SelfVerifyFailed(f"sweep row breaks dimension bounds: {row}")
+            raise SelfCheckFailed(f"sweep row breaks dimension bounds: {row}")
     return row
 
 
@@ -456,14 +452,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DigraphError, RealizerError, BadParams,
-            constructions.ConstructionError, profiles.ProfileError) as exc:
+    except (ParseError, DigraphError, RealizerError, constructions.ConstructionError,
+            profiles.ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except SelfVerifyFailed as exc:
+    except SelfCheckFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -23,7 +23,7 @@ from .digraph import (
     path,
     subset_family,
 )
-from .realizer import Realizer, verify
+from .realizer import Realizer, verified
 from .solver import Obstruction, SolveOutcome, Verdict, is_realizable
 
 
@@ -230,9 +230,7 @@ def _by_condensed_tournament(climb: Climb, d: int) -> SolveOutcome | None:
     cr = condense(D)
     if cr.condensed.arcs and is_acyclic_tournament(cr.condensed):
         line = constructions.realize_acyclic_tournament(cr.condensed)
-        witness = constructions.condense_lift(D, cr, line)
-        if not verify(D, witness).valid:
-            raise RuntimeError("condensation shortcut produced an invalid witness")
+        witness = verified(D, constructions.condense_lift(D, cr, line), "condensation shortcut")
         return SolveOutcome(Verdict.REALIZABLE, witness, 0, "condensed_tournament")
     return SolveOutcome(Verdict.NOT_REALIZABLE, None, 0, "condensed_tournament")
 
@@ -267,9 +265,7 @@ def _by_ceiling(climb: Climb, d: int) -> SolveOutcome | None:
         return None
     D = climb.D
     witness = constructions.generic_realizer(D) if climb.family is None else climb.family
-    if not verify(D, witness).valid:
-        raise RuntimeError("ceiling construction produced an invalid witness")
-    return SolveOutcome(Verdict.REALIZABLE, witness, 0, "ceiling")
+    return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "ceiling"), 0, "ceiling")
 
 
 def _by_search(climb: Climb, d: int) -> SolveOutcome:

@@ -197,6 +197,22 @@ def verify(D: Digraph, f: Realizer) -> VerifyReport:
     return VerifyReport(not violations, tuple(violations))
 
 
+class SelfCheckFailed(RuntimeError):
+    """A result of the package failed its own re-check: a bug, never bad input."""
+
+
+def verified(D: Digraph, f: Realizer, source: str) -> Realizer:
+    """f, once `verify` has confirmed that it realizes D.
+
+    Every witness the package builds or finds passes here before it is
+    returned or printed; one that fails raises SelfCheckFailed naming its
+    source.
+    """
+    if not verify(D, f).valid:
+        raise SelfCheckFailed(f"{source} produced an invalid witness")
+    return f
+
+
 def normalize(f: Realizer) -> Realizer:
     """Rank-compress each coordinate to 1..#distinct values.
 

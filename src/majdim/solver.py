@@ -93,8 +93,10 @@ Pruning, all of it completeness-preserving:
 * three-dimensional no-shared-coordinate rule - in R^3, if x -> y -> z is
   an induced two-path then a realizer gives x, y (and y, z) no equal
   coordinate, so need marks those pairs +-2 once, however many two-paths
-  hold them, and their row entries keep only the vectors of the required
-  sign with no equal coordinate.
+  hold them, and at d = 3 their row entries keep only the vectors of the
+  required sign with no equal coordinate.  need is built once for every
+  d: outside d = 3 a row's +-2 entries are its +-1 entries, so there the
+  marks cost nothing and prune nothing.
   (The odd-dimension parity fact - incomparable vectors in odd d share an
   odd number of coordinates - is implied by the exact margin masks and
   needs no separate rule here.)
@@ -118,7 +120,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .digraph import Digraph, bits, induced_two_paths
-from .realizer import Realizer, verify
+from .realizer import Realizer, verified
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -156,13 +158,17 @@ class Obstruction:
 class SolveOutcome:
     """Decision at one dimension, and the rule that reached it.
 
-    A REALIZABLE outcome always carries a witness that has been re-checked
-    against the digraph.  reason names the decider of `dimension` that
-    settled the level: "empty", "condensed_tournament", "transitivity",
-    "obstruction" (with the obstruction it found), "ceiling" or "search",
-    whose NOT_REALIZABLE is only reported after the pruned but complete
-    tree has been exhausted.  nodes_explored counts the search's nodes, or
-    the matcher's for an obstruction.
+    A REALIZABLE outcome carries a witness that `realizer.verified` has
+    re-checked against the digraph, except two that are correct by
+    construction and skip the check: the d = 0 witness of "empty" (an
+    arcless digraph, and every margin in zero coordinates is 0) and the
+    search's for n = 0 (no vertex pair to compare).  reason names the
+    decider of `dimension` that settled the level: "empty",
+    "condensed_tournament", "transitivity", "obstruction" (with the
+    obstruction it found), "ceiling" or "search", whose NOT_REALIZABLE is
+    only reported after the pruned but complete tree has been exhausted.
+    nodes_explored counts the search's nodes, or the matcher's for an
+    obstruction.
     """
 
     verdict: Verdict
@@ -208,8 +214,9 @@ class _Space:
     whose coordinate i equals r or lies below r; every other mask is
     combined from them.  A candidate's relation row is built on first use
     and kept in a list indexed by vector: at most one row per vector,
-    3 * N bits each for N vectors (5 * N at d = 3).  ties[x] has bit i set
-    when coordinates i and i + 1 of vectors[x] are equal.
+    3 * N bits each for N vectors (5 * N at d = 3, where the +-2 entries
+    are ints of their own).  ties[x] has bit i set when coordinates i and
+    i + 1 of vectors[x] are equal.
 
     Per-column sets of values are ints as well, with one field of
     nranks + 1 bits per column: bit i * (nranks + 1) + r stands for value r
@@ -250,9 +257,10 @@ class _Space:
         """Relation row of vectors[c], indexed by a need value s.
 
         row[s] for s in (0, 1, -1) is the set of x with
-        sign(margin(vectors[x], vectors[c])) == s.  At d = 3 the row has
-        five entries, and row[2] and row[-2] keep only the x of row[1] and
-        row[-1] that share no coordinate value with vectors[c].
+        sign(margin(vectors[x], vectors[c])) == s.  At d = 3, row[2] and
+        row[-2] keep only the x of row[1] and row[-1] that share no
+        coordinate value with vectors[c]; at any other d they are row[1]
+        and row[-1] themselves, the same int objects.
         """
         row = self._rows[c]
         if row is None:
@@ -279,7 +287,7 @@ class _Space:
                 neq = self.full ^ shared
                 row = levels[self.d], pos, pos & neq, neg & neq, neg
             else:
-                row = levels[self.d], pos, neg
+                row = levels[self.d], pos, pos, neg, neg
             self._rows[c] = row
         return row
 
@@ -408,9 +416,9 @@ class _Plan:
     """What the search needs of D at every d, built once per digraph.
 
     weight[v] is 1 + degree(v), order the vertices in (-degree, v) order
-    and need[u][w] the required sign of margin(w, u).  need3 is a copy of
-    need with the d = 3 rule's +-2 entries, and orbit the vertex set O of
-    the orbit rule; both are built on first use.
+    and need[u][w] the required sign of margin(w, u), +-2 on the arcs of
+    induced two-paths (the d = 3 rule).  orbit is the vertex set O of the
+    orbit rule, built on first use.
     """
 
     def __init__(self, D: Digraph):
@@ -422,18 +430,11 @@ class _Plan:
         for u, v in D.arcs:
             self.need[v][u] = 1
             self.need[u][v] = -1
-        self._need3: list[list[int]] | None = None
+        for x, y, z in induced_two_paths(D):
+            for u, v in ((x, y), (y, z)):
+                self.need[v][u] = 2
+                self.need[u][v] = -2
         self._orbit: tuple[int, ...] | None = None
-
-    def need3(self) -> list[list[int]]:
-        if self._need3 is None:
-            need = [list(row) for row in self.need]
-            for x, y, z in induced_two_paths(self.D):  # its arcs share no coordinate
-                for u, v in ((x, y), (y, z)):
-                    need[v][u] = 2
-                    need[u][v] = -2
-            self._need3 = need
-        return self._need3
 
     def orbit(self) -> tuple[int, ...]:
         if self._orbit is None:
@@ -458,8 +459,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
     plan = _plan(D)
-    weight, order = plan.weight, plan.order
-    need = plan.need3() if d == 3 else plan.need  # need[u][w]: required sign of margin(w, u)
+    weight, order, need = plan.weight, plan.order, plan.need
 
     above_any = len(space.vectors) + 1  # exceeds every domain size
     value_bits, ties = space.value_bits, space.ties
@@ -509,30 +509,27 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                 return False
         return False
 
-    # The root's candidates one at a time, each bounding the orbit's keys.
+    # The root's candidates one at a time, each bounding the orbit's keys;
+    # with no orbit, one call per candidate visits the nodes, in the same
+    # order, that one call over all of them would.
     first, rest = order[0], order[1:]
     pattern = (1 << max(d - 1, 0)) - 1
     cand = space.mask(pattern, 0, space.top)
     found = False
     while cand and not found and not budget_hit:
         low = cand & -cand
-        doms = [space.full] * n
-        if low != 1:
-            orbit = plan.orbit()
-            if orbit:
-                key = space.at_least(low.bit_length() - 1)
-                for w in orbit:
-                    doms[w] = key
-            else:
-                low = cand  # no keys to bound: the other candidates in one call
         cand ^= low
+        doms = [space.full] * n
+        orbit = plan.orbit() if low != 1 else ()
+        if orbit:
+            key = space.at_least(low.bit_length() - 1)
+            for w in orbit:
+                doms[w] = key
         doms[first] = low
         found = descend(first, rest, doms, pattern, 0, space.top)
     if found:
         witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
-        if not verify(D, witness).valid:
-            raise RuntimeError("search produced an invalid witness")
-        return SolveOutcome(Verdict.REALIZABLE, witness, nodes)
+        return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "search"), nodes)
     if budget_hit:
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, nodes)
     return SolveOutcome(Verdict.NOT_REALIZABLE, None, nodes)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from majdim import (
     Profile,
+    VerifyReport,
     build,
     from_edge_list,
     cycle,
@@ -654,6 +655,36 @@ def test_sweep_decides_low_dimensions_by_search(capsys, monkeypatch):
     assert json.loads(out.strip().splitlines()[-1])["summary"]["histogram"] == {
         "0": 1, "1": 12, "2": 6, "3": 8,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, graph, source",
+    [
+        (["dim", "{g}"], to_edge_list(path(3)), "ceiling"),
+        (["dim", "{g}"], "2\n0 1\n", "condensation shortcut"),
+        (["sweep", "2"], None, "search"),
+        (["realize", "path", "4"], None, "construction"),
+    ],
+    ids=["dim-ceiling", "dim-condensed-tournament", "sweep-search", "realize"],
+)
+def test_failed_witness_self_check_exits_three(capsys, monkeypatch, tmp_path, argv, graph,
+                                               source):
+    # Every witness goes through realizer.verified, which reads verify from
+    # its own module, so a verify that rejects everything reaches each check.
+    monkeypatch.setattr("majdim.realizer.verify", lambda D, f: VerifyReport(False, ()))
+    if graph is not None:
+        argv = [a.format(g=write(tmp_path, "g.txt", graph)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"internal error: {source} produced an invalid witness\n")
+
+
+def test_sweep_row_outside_its_bounds_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "dimension",
+                        lambda D, **kwargs: solver.DimensionResult(99, 99, 99, ()))
+    code, out, err = run(capsys, "sweep", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: sweep row breaks dimension bounds: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_sweep_csv_mode(capsys):

@@ -39,6 +39,7 @@ from helpers import (
     all_labeled_digraphs,
     brute_orbit,
     cyclic_tournament,
+    naive_induced_two_paths,
     naive_margin,
     naive_realizable,
     quadratic_es,
@@ -325,18 +326,37 @@ def test_space_rows_match_naive_margins(nranks, d):
     space = _Space(nranks, d)
     vectors = space.vectors
     assert vectors == tuple(itertools.product(range(1, nranks + 1), repeat=d))
-    needs = (0, 1, -1, 2, -2) if d == 3 else (0, 1, -1)
     for c, vc in enumerate(vectors):
         assert space.ties[c] == sum(1 << i for i in range(d - 1) if vc[i] == vc[i + 1])
         row = space.row(c)
-        assert len(row) == len(needs)
+        # need holds +-2 at every d, so every row has five entries; outside
+        # d = 3 the +-2 entries are the +-1 ones, not copies of them.
+        assert len(row) == 5
+        if d != 3:
+            assert row[2] is row[1] and row[-2] is row[-1]
         for x, vx in enumerate(vectors):
             m = naive_margin(vx, vc)
-            apart = all(a != b for a, b in zip(vx, vc))
-            for need in needs:
+            apart = d != 3 or all(a != b for a, b in zip(vx, vc))
+            for need in (0, 1, -1, 2, -2):
                 sign = (need > 0) - (need < 0)
                 expected = (m > 0) - (m < 0) == sign and (abs(need) < 2 or apart)
                 assert row[need] >> x & 1 == expected, (vx, vc, need)
+
+
+def test_plan_need_is_the_naive_constraint_table():
+    # need[u][w] is the required sign of margin(w, u): +-1 on every arc,
+    # +-2 on both arcs of every induced two-path, at every d.
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(8)
+        D = random_digraph(rng, n)
+        need = [[0] * n for _ in range(n)]
+        for u, v in D.arcs:
+            need[v][u], need[u][v] = 1, -1
+        for x, y, z in naive_induced_two_paths(D):
+            for u, v in ((x, y), (y, z)):
+                need[v][u], need[u][v] = 2, -2
+        assert _plan(D).need == need, sorted(D.arcs)
 
 
 @pytest.mark.parametrize("nranks, d", [(1, 2), (3, 0), (3, 1), (4, 2), (3, 3), (2, 4)])
