@@ -141,42 +141,40 @@ def _emit_realizer(D: Digraph, f: Realizer) -> int:
     return 0
 
 
+# method: the construction that realizes the digraph `realize method n` generates
+_GENERATED = {
+    "path": lambda D: constructions.realize_path(D.n),
+    "cycle": lambda D: constructions.realize_cycle(D.n),
+    "tournament": constructions.realize_acyclic_tournament,
+    "empty": constructions.realize_empty,
+}
+
+
 def _cmd_realize(args) -> int:
     method = args.method
-    if method in ("path", "cycle", "tournament", "empty"):
+    if method in _GENERATED:
         if len(args.params) != 1:
             raise ParseError(f"realize {method} takes exactly one parameter n")
         D = generate(method, args.params[0])
-        if method == "path":
-            return _emit_realizer(D, constructions.realize_path(D.n))
-        if method == "cycle":
-            return _emit_realizer(D, constructions.realize_cycle(D.n))
-        if method == "tournament":
-            return _emit_realizer(D, constructions.realize_acyclic_tournament(D))
-        return _emit_realizer(D, constructions.realize_empty(D))
+        return _emit_realizer(D, _GENERATED[method](D))
     if args.params:
         raise ParseError(f"realize {method} takes digraph files, not parameters")
     if not args.digraph:
         raise ParseError(f"realize {method} needs at least one --digraph file")
-    if method == "generic":
-        if len(args.digraph) != 1:
-            raise ParseError("realize generic takes exactly one --digraph file")
-        D = _load(args.digraph[0], from_edge_list)
-        return _emit_realizer(D, constructions.generic_realizer(D))
     if method == "union":
         if len(args.digraph) < 2:
             raise ParseError("realize union needs at least two --digraph files")
         parts = [_load(p, from_edge_list) for p in args.digraph]
         pairs = [(D, constructions.generic_realizer(D)) for D in parts]
         return _emit_realizer(disjoint_union(parts), constructions.union_realizer(pairs))
-    if method == "condense-lift":
-        if len(args.digraph) != 1:
-            raise ParseError("realize condense-lift takes exactly one --digraph file")
-        D = _load(args.digraph[0], from_edge_list)
-        cr = condense(D)
-        f_star = constructions.generic_realizer(cr.condensed)
-        return _emit_realizer(D, constructions.condense_lift(D, cr, f_star))
-    raise ParseError(f"unknown realize method {method!r}")
+    if len(args.digraph) != 1:
+        raise ParseError(f"realize {method} takes exactly one --digraph file")
+    D = _load(args.digraph[0], from_edge_list)
+    if method == "generic":
+        return _emit_realizer(D, constructions.generic_realizer(D))
+    cr = condense(D)
+    f_star = constructions.generic_realizer(cr.condensed)
+    return _emit_realizer(D, constructions.condense_lift(D, cr, f_star))
 
 
 def _dimension_payload(result: solver.DimensionResult) -> dict:
@@ -373,18 +371,12 @@ def _cmd_profile(args) -> int:
         D = profiles.majority_digraph(R)
         print(json.dumps({"n": D.n, "arcs": D.sorted_arcs()}))
         return 0
-    if sub == "to-realizer":
-        print(realizer_to_json(profiles.profile_to_realizer(R)))
-        return 0
-    raise ParseError(f"unknown profile subcommand {sub!r}")
+    print(realizer_to_json(profiles.profile_to_realizer(R)))
+    return 0
 
 
 def _cmd_es(args) -> int:
-    points = _load_points(args.points)
-    try:
-        kind, witness = solver.es_chain_or_antichain(points)
-    except solver.EmptyInput as exc:
-        raise ParseError(str(exc))
+    kind, witness = solver.es_chain_or_antichain(_load_points(args.points))
     print(json.dumps({"kind": kind, "size": len(witness), "witness": [list(p) for p in witness]}))
     return 0
 
@@ -453,7 +445,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, DigraphError, RealizerError, constructions.ConstructionError,
-            profiles.ProfileError) as exc:
+            profiles.ProfileError, solver.EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

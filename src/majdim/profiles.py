@@ -131,12 +131,12 @@ def realizer_to_profile(f: Realizer) -> Profile:
 
 
 def profile_to_realizer(R: Profile) -> Realizer:
-    """Give alternative a the vector of its ranks, one coordinate per voter."""
-    d = len(R.voters)
-    vectors = {
-        a: tuple(voter[a] for voter in R.voters) for a in range(R.alternatives)
-    }
-    return Realizer(d, vectors)
+    """Give alternative a the vector of its ranks, one coordinate per voter.
+
+    Without voters every alternative gets the empty vector."""
+    if not R.voters:
+        return Realizer(0, dict.fromkeys(range(R.alternatives), ()))
+    return Realizer(len(R.voters), dict(enumerate(zip(*R.voters))))
 
 
 # --- JSON format: {"alternatives": m, "voters": [[rank per alternative], ...]}

@@ -114,7 +114,7 @@ calls before it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -597,47 +597,47 @@ def es_chain_or_antichain(points) -> tuple[str, list[tuple[int, int]]]:
     x2 <= y2.  After a lexicographic sort every earlier point has x no
     larger, so point i's height is one more than the largest height among
     earlier points with y no larger, and its parent is the lowest-indexed
-    of those.  A Fenwick tree over y ranks keeps the prefix maximum of
-    (height, -index), so the whole DP takes O(m log m).  The antichain is
-    a largest height level, which is an antichain because a dominated
-    point always has a smaller height.  Among m >= k^2 + 1 points one of
-    the two has size >= k + 1.  A point that is not a pair of `int`
-    coordinates raises BadPoint instead of being coerced.
+    of those.  Patience sorting finds both with bisection: tails[h] is the
+    least y among the points of height h + 1 so far, a nondecreasing list,
+    so a point's height is bisect_right(tails, y) + 1.  Pile h holds the
+    points of height h + 1 in arrival order; a point joins it only below
+    the pile's last y, so y strictly decreases along a pile.  For a point
+    joining pile h the earlier points of height h with y no larger are
+    therefore a suffix of pile h - 1, and its parent is the suffix's first
+    point, found by one bisect_left on that pile's negated ys.  The whole
+    DP takes O(m log m).  The chain ends at the first point of the last
+    pile.  The antichain is the first longest pile, a height level, which
+    is an antichain because a dominated point always has a smaller height.
+    Among m >= k^2 + 1 points one of the two has size >= k + 1.  A point
+    that is not a pair of `int` coordinates raises BadPoint instead of
+    being coerced.
     """
     pts = [_point(p) for p in points]
     if not pts:
         raise EmptyInput("no points given")
     pts.sort()
-    m = len(pts)
-    rank = {y: r for r, y in enumerate(sorted({y for _, y in pts}), start=1)}
-    tree = [(0, 0)] * (len(rank) + 1)  # tree[r]: best (height, -index) over a rank range
-    height = [1] * m
-    parent = [-1] * m
+    tails: list[int] = []
+    piles: list[list[int]] = []  # piles[h]: indices of the height h + 1 points
+    neg_ys: list[list[int]] = []  # neg_ys[h]: -y along piles[h], ascending
+    parent = [-1] * len(pts)
     for i, (_, y) in enumerate(pts):
-        best = (0, 0)
-        r = rank[y]
-        while r:
-            if tree[r] > best:
-                best = tree[r]
-            r &= r - 1
-        if best[0]:
-            height[i] = best[0] + 1
-            parent[i] = -best[1]
-        key = (height[i], -i)
-        r = rank[y]
-        while r < len(tree):
-            if key > tree[r]:
-                tree[r] = key
-            r += r & -r
-    longest = max(height)
-    k = height.index(longest)
+        h = bisect_right(tails, y)
+        if h:
+            parent[i] = piles[h - 1][bisect_left(neg_ys[h - 1], -y)]
+        if h == len(tails):
+            tails.append(y)
+            piles.append([])
+            neg_ys.append([])
+        tails[h] = y
+        piles[h].append(i)
+        neg_ys[h].append(-y)
     chain: list[tuple[int, int]] = []
+    k = piles[-1][0]
     while k != -1:
         chain.append(pts[k])
         k = parent[k]
     chain.reverse()
-    counts = Counter(height)
-    level, level_size = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    if len(chain) >= level_size:
+    level = max(piles, key=len)
+    if len(chain) >= len(level):
         return "chain", chain
-    return "antichain", [pts[i] for i in range(m) if height[i] == level]
+    return "antichain", [pts[i] for i in level]

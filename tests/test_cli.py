@@ -339,6 +339,31 @@ def test_realize_rejects_bad_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["path"], "realize path takes exactly one parameter n"),
+        (["cycle", "3", "4"], "realize cycle takes exactly one parameter n"),
+        (["tournament"], "realize tournament takes exactly one parameter n"),
+        (["empty", "1", "2"], "realize empty takes exactly one parameter n"),
+        (["generic", "3", "-d", "g.txt"], "realize generic takes digraph files, not parameters"),
+        (["union", "3"], "realize union takes digraph files, not parameters"),
+        (["generic"], "realize generic needs at least one --digraph file"),
+        (["union"], "realize union needs at least one --digraph file"),
+        (["condense-lift"], "realize condense-lift needs at least one --digraph file"),
+        (["union", "-d", "g.txt"], "realize union needs at least two --digraph files"),
+        (["generic", "-d", "g.txt", "-d", "g.txt"],
+         "realize generic takes exactly one --digraph file"),
+        (["condense-lift", "-d", "g.txt", "-d", "g.txt"],
+         "realize condense-lift takes exactly one --digraph file"),
+    ],
+)
+def test_realize_argument_errors_exit_two(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g.txt", to_edge_list(path(3)))
+    assert run(capsys, "realize", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_dim_path3(capsys, tmp_path):
     g = write(tmp_path, "p3.txt", to_edge_list(path(3)))
     code, out, _ = run(capsys, "dim", g)
@@ -758,8 +783,7 @@ def test_es_command(capsys, tmp_path):
 
 def test_es_empty_points_exits_two(capsys, tmp_path):
     pts = write(tmp_path, "empty.txt", "# nothing\n")
-    code, _, err = run(capsys, "es", pts)
-    assert code == 2
+    assert run(capsys, "es", pts) == (2, "", "error: no points given\n")
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -101,6 +101,12 @@ def test_profile_to_realizer_unanimous_and_indifferent():
     )
 
 
+def test_profile_to_realizer_without_voters_or_alternatives():
+    assert profile_to_realizer(Profile(3, ())) == Realizer(0, {0: (), 1: (), 2: ()})
+    assert profile_to_realizer(Profile(0, ((), ()))) == Realizer(2, {})
+    assert profile_to_realizer(Profile(0, ())) == Realizer(0, {})
+
+
 def _random_realizer(rng, n, d):
     return Realizer(d, {v: tuple(rng.randrange(0, 5) for _ in range(d)) for v in range(n)})
 

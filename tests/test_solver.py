@@ -757,10 +757,19 @@ def test_es_rejects_points_that_are_not_int_pairs(points):
 
 
 def test_es_matches_quadratic_dp():
+    # Two levels of 3 beat the chain of 2, and the lower level is reported.
+    tie = [(1, 3), (2, 2), (3, 1), (4, 4), (5, 3), (6, 2)]
+    assert es_chain_or_antichain(tie) == quadratic_es(tie) == ("antichain", tie[:3])
     # Small coordinate ranges force duplicate points and shared x or y.
     rng = random.Random(47)
     for _ in range(400):
         m = rng.randrange(1, 40)
         span = rng.choice([2, 4, 10, 1000])
+        pts = [(rng.randrange(span), rng.randrange(-span, span)) for _ in range(m)]
+        assert es_chain_or_antichain(pts) == quadratic_es(pts)
+    # Hundreds of points over few values: long piles that share y values.
+    for _ in range(12):
+        m = rng.randrange(100, 401)
+        span = rng.choice([3, 10, 50])
         pts = [(rng.randrange(span), rng.randrange(-span, span)) for _ in range(m)]
         assert es_chain_or_antichain(pts) == quadratic_es(pts)
