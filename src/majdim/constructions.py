@@ -1,8 +1,8 @@
 """Constructive realizers for the digraph families with known dimensions.
 
 Every operation returns a Realizer that verifies against its target
-digraph.  The maps here give upper bounds; minimality is the exact
-solver's concern.
+digraph.  The maps here give upper bounds; those of directed paths and
+cycles are minimal, which the solver's certified lower bounds confirm.
 """
 
 from __future__ import annotations
@@ -178,11 +178,19 @@ def condense_lift(D: Digraph, cr: CondensationResult, f_star: Realizer) -> Reali
     return Realizer(f_star.d, {v: vecs[cr.class_of[v]] for v in range(D.n)})
 
 
-def realize_path(n: int) -> Realizer:
-    """Realizer of the directed path on n vertices.
+# Three coordinates realize the directed path on up to 5 vertices, the
+# most that fit in d = 3; the vectors are the exact search's witness.
+_PATH_FIVE = ((2, 1, 4), (1, 2, 3), (3, 1, 2), (2, 2, 1), (1, 1, 5))
 
-    Dimensions: 0 for a single vertex, 1 for one arc, 3 for the 3-vertex
-    path, and 4 beyond.  For n >= 4 the map places vertex t (1-based) at
+
+def realize_path(n: int) -> Realizer:
+    """Minimum-dimension realizer of the directed path on n vertices.
+
+    Dimensions: 0 for a single vertex, 1 for one arc, 3 for 3 to 5
+    vertices, and 4 beyond.  For 4 and 5 vertices the vectors are the
+    leading n rows of _PATH_FIVE: a prefix of a path is an induced
+    subpath, so the restriction of a realizer still verifies.  For n >= 6
+    the map places vertex t (1-based) at
 
         (2m - t, 2m - t, t, t)          for odd t,
         (2m - t, 2m - t, t - 2, t + 2)  for even t,
@@ -191,8 +199,8 @@ def realize_path(n: int) -> Realizer:
     coordinates descend along the path and the last two ascend with an
     even/odd stagger, so consecutive vertices win 3-1 while any pair two
     or more steps apart splits {1,2} against {3,4}.  Even n takes the
-    leading n vertices of the odd construction; a prefix of a path is an
-    induced subpath, so the restriction still verifies.
+    leading n vertices of the odd construction, by the same prefix
+    argument.
     """
     if type(n) is not int or n < 1:
         raise BadParams(f"realize_path({n!r})")
@@ -202,6 +210,8 @@ def realize_path(n: int) -> Realizer:
         return Realizer(1, {0: (2,), 1: (1,)})
     if n == 3:
         return Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 0, 3)})
+    if n <= 5:
+        return Realizer(3, dict(enumerate(_PATH_FIVE[:n])))
     m = (n + 1) // 2 if n % 2 else (n + 2) // 2
     vecs = {}
     for t in range(1, n + 1):
@@ -355,15 +365,20 @@ def cycle_matrix(n: int) -> CycleMatrix:
 
 
 def realize_cycle(n: int) -> Realizer:
-    """Realizer of the directed n-cycle: dimension 3 for n = 3, else 4.
+    """Minimum-dimension realizer of the directed n-cycle: dimension 3 for
+    n = 3 and 4, else 4.
 
-    For n >= 4 vertex i takes row i of the cycle matrix: consecutive rows
-    win 3-1 (margin +2) and distant rows split 2-2 (margin 0).
+    The 3- and 4-cycle vectors are fixed, the latter the exact search's
+    witness.  For n >= 5 vertex i takes row i of the cycle matrix:
+    consecutive rows win 3-1 (margin +2) and distant rows split 2-2
+    (margin 0).
     """
     if type(n) is not int or n < 3:
         raise BadParams(f"realize_cycle({n!r}): need n >= 3")
     if n == 3:
         return Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 3, 1)})
+    if n == 4:
+        return Realizer(3, {0: (1, 2, 3), 1: (4, 1, 2), 2: (3, 2, 1), 3: (2, 1, 4)})
     matrix = cycle_matrix(n)
     return Realizer(4, {i: matrix.entries[i] for i in range(n)})
 

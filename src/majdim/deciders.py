@@ -139,7 +139,7 @@ def _obstructions() -> tuple[tuple[str, Digraph, int], ...]:
     Each dimension k is certified by an exhausted search at k - 1 and a
     verified witness at k; the tests re-prove every entry that way.
     """
-    table = [("path(6)", path(6), 4), ("cycle(5)", cycle(5), 4)]
+    table = [("path(6)", path(6), 4), ("cycle(5)", cycle(5), 4), ("cycle(6)", cycle(6), 4)]
     for code in _FIVE_VERTEX_DIMENSION_FOUR:
         arcs = [tuple(map(int, arc.split(">"))) for arc in code.split(";")]
         table.append((code, build(5, arcs), 4))

@@ -384,18 +384,30 @@ def _space_for(nranks: int, d: int) -> _Space:
 def _first_orbit(D: Digraph, first: int) -> tuple[int, ...]:
     """Vertices w != first that an automorphism of D is shown to map first to.
 
-    Each w with first's out- and in-degree gets one run of the induced
-    subdigraph matcher from D to itself with first pinned to w, capped at
-    n^2 matcher nodes.  A copy of D on all its n vertices is an
-    automorphism s, and s, s^2, ... carry first around its whole cycle of
-    s, so that cycle joins the orbit at once.  A run the cap cuts short
-    leaves w out: the orbit rule needs every vertex kept to be an image,
-    not every image kept.
+    A vertex's profile is its (out-degree, in-degree) together with the
+    multisets of that pair over its out-neighbours and over its
+    in-neighbours.  Each w with first's profile gets one run of the
+    induced subdigraph matcher from D to itself with first pinned to w,
+    capped at n^2 matcher nodes.  An automorphism keeps every degree and
+    maps first's out- and in-neighbours onto those of its image, so it
+    keeps the profile, and a w with another profile is no image.  A copy
+    of D on all its n vertices is an automorphism s, and s, s^2, ... carry
+    first around its whole cycle of s, so that cycle joins the orbit at
+    once.  A run the cap cuts short leaves w out: the orbit rule needs
+    every vertex kept to be an image, not every image kept.
     """
     n, out, into = D.n, D.out, D.into
-    degree = out[first].bit_count(), into[first].bit_count()
-    alike = [w for w in range(n)
-             if w != first and (out[w].bit_count(), into[w].bit_count()) == degree]
+    degree = [(o.bit_count(), i.bit_count()) for o, i in zip(out, into)]
+    alike = [w for w in range(n) if w != first and degree[w] == degree[first]]
+    if not alike:
+        return ()
+
+    def profile(v: int):
+        return (sorted([degree[t] for t in bits(out[v])]),
+                sorted([degree[t] for t in bits(into[v])]))
+
+    root = profile(first)
+    alike = [w for w in alike if profile(w) == root]
     if not alike:
         return ()
     from .deciders import induced_copy
@@ -463,16 +475,17 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
 
     above_any = len(space.vectors) + 1  # exceeds every domain size
     value_bits, ties = space.value_bits, space.ties
+    rows, build_row, mask = space._rows, space.row, space.mask
     chosen = [0] * n
     nodes = 0
     budget_hit = False
 
-    def descend(u: int, rest: list[int], doms: list[int], pattern: int, used: int,
+    def descend(u: int, cand: int, rest: list[int], doms: list[int], pattern: int, used: int,
                 ceilings: int) -> bool:
-        # Place u; rest holds the other unassigned vertices in tie-break order.
+        # Place u on each vector of cand in turn; rest holds the other
+        # unassigned vertices in tie-break order.
         nonlocal nodes, budget_hit
         need_u = need[u]
-        cand = doms[u] & space.mask(pattern, used, ceilings)
         while cand:
             low = cand & -cand
             cand ^= low
@@ -484,8 +497,8 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
             chosen[u] = c
             if not rest:
                 return True
-            row = space.row(c)
-            new_doms = list(doms)
+            row = rows[c] or build_row(c)
+            new_doms = doms.copy()
             best, best_size, best_weight = -1, above_any, 1
             for w in rest:
                 narrowed = doms[w] & row[need_u[w]]
@@ -496,14 +509,17 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                 if size * best_weight < best_size * weight[w]:
                     best, best_size, best_weight = w, size, weight[w]
             else:
-                nxt = [w for w in rest if w != best]
+                nxt = rest.copy()
+                nxt.remove(best)
                 # A repeated value r lies below its column's ceiling t, so
                 # taking bit r from bit t leaves bits r..t-1 in that field
                 # alone; the top one is the lowered ceiling t - 1.
                 vb = value_bits[c]
                 lowered = ceilings - (used & vb)
-                if descend(best, nxt, new_doms, pattern & ties[c],
-                           used | vb, lowered & ~(lowered >> 1)):
+                next_pattern, next_used = pattern & ties[c], used | vb
+                next_ceilings = lowered & ~(lowered >> 1)
+                if descend(best, new_doms[best] & mask(next_pattern, next_used, next_ceilings),
+                           nxt, new_doms, next_pattern, next_used, next_ceilings):
                     return True
             if budget_hit:
                 return False
@@ -511,22 +527,27 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
 
     # The root's candidates one at a time, each bounding the orbit's keys;
     # with no orbit, one call per candidate visits the nodes, in the same
-    # order, that one call over all of them would.
+    # order, that one call over all of them would.  descend never writes
+    # to the doms it is given, so candidates without keys share one list.
     first, rest = order[0], order[1:]
     pattern = (1 << max(d - 1, 0)) - 1
-    cand = space.mask(pattern, 0, space.top)
+    cand = mask(pattern, 0, space.top)
+    unbounded = [space.full] * n
+    orbit = None
     found = False
     while cand and not found and not budget_hit:
         low = cand & -cand
         cand ^= low
-        doms = [space.full] * n
-        orbit = plan.orbit() if low != 1 else ()
-        if orbit:
-            key = space.at_least(low.bit_length() - 1)
-            for w in orbit:
-                doms[w] = key
-        doms[first] = low
-        found = descend(first, rest, doms, pattern, 0, space.top)
+        doms = unbounded
+        if low != 1:
+            if orbit is None:
+                orbit = plan.orbit()
+            if orbit:
+                key = space.at_least(low.bit_length() - 1)
+                doms = unbounded.copy()
+                for w in orbit:
+                    doms[w] = key
+        found = descend(first, low, rest, doms, pattern, 0, space.top)
     if found:
         witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
         return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "search"), nodes)

@@ -441,7 +441,8 @@ DIM_JSON = {
              '{"d": 0, "verdict": "not_realizable", "nodes": 0, "reason": "empty"}, '
              '{"d": 1, "verdict": "not_realizable", "nodes": 0, "reason": "condensed_tournament"}, '
              '{"d": 2, "verdict": "not_realizable", "nodes": 0, "reason": "transitivity"}, '
-             '{"d": 3, "verdict": "not_realizable", "nodes": 1264, "reason": "search"}, '
+             '{"d": 3, "verdict": "not_realizable", "nodes": 60, "reason": "obstruction", '
+             '"obstruction": "cycle(6)", "vertices": [0, 1, 2, 3, 4, 5]}, '
              '{"d": 4, "verdict": "realizable", "nodes": 0, "reason": "ceiling"}]}\n',
 }
 

@@ -242,11 +242,11 @@ def test_realize_path_goldens():
     assert realize_path(2).vectors == {0: (2,), 1: (1,)}
     assert realize_path(3).vectors == {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 0, 3)}
     assert realize_path(5).vectors == {
-        0: (5, 5, 1, 1),
-        1: (4, 4, 0, 4),
-        2: (3, 3, 3, 3),
-        3: (2, 2, 2, 6),
-        4: (1, 1, 5, 5),
+        0: (2, 1, 4),
+        1: (1, 2, 3),
+        2: (3, 1, 2),
+        3: (2, 2, 1),
+        4: (1, 1, 5),
     }
     with pytest.raises(BadParams):
         realize_path(0)
@@ -262,7 +262,7 @@ def test_constructions_reject_non_integer_sizes(construct, n):
 @pytest.mark.parametrize("n", range(1, 16))
 def test_realize_path_verifies(n):
     f = realize_path(n)
-    assert f.d == {1: 0, 2: 1, 3: 3}.get(n, 4)
+    assert f.d == {1: 0, 2: 1, 3: 3, 4: 3, 5: 3}.get(n, 4)
     assert verify(path(n), f).valid
 
 
@@ -357,7 +357,7 @@ def test_realize_cycle_goldens():
     assert f.vectors == {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 3, 1)}
     assert verify(cycle(3), f).valid
     f4 = realize_cycle(4)
-    assert f4.d == 4 and f4.vectors[0] == (3, 1, 2, 4)
+    assert f4.vectors == {0: (1, 2, 3), 1: (4, 1, 2), 2: (3, 2, 1), 3: (2, 1, 4)}
     assert verify(cycle(4), f4).valid
     with pytest.raises(BadParams):
         realize_cycle(2)

@@ -29,10 +29,13 @@ from majdim import (
     induced,
     is_realizable,
     path,
+    realize_cycle,
+    realize_path,
     single_arc,
     subset_family,
     verify,
 )
+from majdim.cli import _sweep_rows
 from majdim.deciders import _obstructions, induced_copy
 from majdim.solver import _first_orbit, _plan, _Space, _space_for
 from helpers import (
@@ -46,6 +49,7 @@ from helpers import (
     random_digraph,
     relabeled,
     static_order_search,
+    unfiltered_orbit,
 )
 
 
@@ -100,8 +104,9 @@ def test_dimension_examples():
 
 
 def test_dimension_cycle4_settled_by_complete_search():
-    res = dimension(cycle(4))
+    res = dimension(cycle(4), shortcuts=False)
     assert res.dimension in (3, 4)
+    assert all(outcome.reason == "search" for _, outcome in res.per_d)
     verdicts = dict(res.per_d)
     assert verdicts[3].verdict in (Verdict.REALIZABLE, Verdict.NOT_REALIZABLE)
     assert verify(cycle(4), res.witness).valid
@@ -156,10 +161,11 @@ def test_dimension_rejects_non_integer_max_d(max_d):
 
 
 def test_dimension_respects_max_d():
-    # Only the search settles path(5) at d = 3; its ceiling is realize_path's 4.
+    # Transitivity excludes d = 2 and max_d stops the climb before
+    # realize_path's 3-coordinate ceiling settles d = 3.
     res = dimension(path(5), max_d=2)
     assert not res.known
-    assert res.lower == 3 and res.upper == 4
+    assert res.lower == 3 and res.upper == 3
 
 
 def _levels(res):
@@ -176,6 +182,50 @@ def test_shortcuts_agree_with_search():
 def test_rules_agree_with_search_on_paths_and_cycles(n):
     for D in (path(n), cycle(n)) if n >= 3 else (path(n),):
         assert _levels(dimension(D)) == _levels(dimension(D, shortcuts=False))
+
+
+def _paper_dimension(family, n):
+    # The paper's values: paths 0, 1, 3, 3, 3, then 4 from 6 vertices on;
+    # cycles 3, 3, then 4 from 5 vertices on.
+    if family == "path":
+        return (0, 1, 3, 3, 3)[n - 1] if n <= 5 else 4
+    return 3 if n <= 4 else 4
+
+
+def test_paths_and_cycles_are_decided_without_search():
+    cases = [("path", n, path(n), realize_path) for n in range(1, 41)]
+    cases += [("cycle", n, cycle(n), realize_cycle) for n in range(3, 41)]
+    for family, n, D, construct in cases:
+        res = dimension(D)
+        assert [d for d, outcome in res.per_d if outcome.reason == "search"] == [], (family, n)
+        assert res.dimension == res.upper == _paper_dimension(family, n), (family, n)
+        assert verify(D, res.witness).valid, (family, n)
+        assert construct(n).d == res.dimension, (family, n)
+
+
+def _cycle6_plus_two(rng):
+    """cycle(6) on vertices 0-5, plus vertices 6 and 7 each joined to every
+    earlier vertex by a random arc or none; cycle(6) stays induced."""
+    arcs = [(i, (i + 1) % 6) for i in range(6)]
+    for v in (6, 7):
+        for u in range(v):
+            r = rng.random()
+            if r < 1 / 3:
+                arcs.append((u, v))
+            elif r < 2 / 3:
+                arcs.append((v, u))
+    return build(8, arcs)
+
+
+def test_induced_cycle6_settles_d3_by_obstruction():
+    rng = random.Random(1)
+    for _ in range(3):
+        D = _cycle6_plus_two(rng)
+        res = dimension(D)
+        d3 = dict(res.per_d)[3]
+        assert (d3.reason, d3.obstruction.name) == ("obstruction", "cycle(6)"), sorted(D.arcs)
+        assert _levels(res) == _levels(dimension(D, shortcuts=False)), sorted(D.arcs)
+        assert verify(D, res.witness).valid
 
 
 @pytest.mark.parametrize("name, P, k", _obstructions(),
@@ -228,11 +278,19 @@ def test_induced_copy_honours_its_pin():
     assert induced_copy(path(3), path(5), 25, pin=(0, 2)) == ((2, 3, 4), 3, True)
 
 
+def _from_code(n, code):
+    """The digraph on n vertices with the arcs of a "u>v;..." code."""
+    return build(n, [tuple(map(int, arc.split(">"))) for arc in code.split(";") if arc])
+
+
 def test_induced_copy_results_are_pinned():
     # Embeddings and node counts depend on the vertex order and the
     # candidate order, which the other matcher tests leave free; this pins both.
     rng = random.Random(83)
-    entries = [P for _, P, _ in _obstructions()]
+    codes = ["0>1;0>2;1>2;2>3;3>0;4>3", "0>1;0>2;1>2;2>3;3>0;3>4", "0>1;0>2;1>2;2>3;3>4;4>0",
+             "0>1;0>2;1>2;2>3;2>4;3>0;4>3"]
+    entries = [path(6), cycle(5), *(_from_code(5, code) for code in codes),
+               subset_family(4, 1), subset_family(3, 1)]
     digest = hashlib.sha256()
     for _ in range(200):
         D = random_digraph(rng, rng.randrange(1, 9))
@@ -269,6 +327,20 @@ def test_first_orbit_matches_brute_force_on_symmetric_and_random_digraphs():
             assert set(_first_orbit(D, v)) == orbit, (D.n, sorted(D.arcs), v)
             moved += bool(orbit)
     assert moved > len(cases)
+
+
+def test_first_orbit_prefilter_drops_no_image():
+    # The neighbour-profile prefilter only saves matcher runs: the scan
+    # finds what it finds without it, on every class with n <= 5 and on
+    # random digraphs up to 7 vertices.  The sweep walk gives one digraph
+    # per class; max_d = 0 keeps its own searches trivial.
+    cases = [_from_code(n, row.digraph_code)
+             for n in range(6) for row in _sweep_rows(n, True, 1, 0)]
+    rng = random.Random(73)
+    cases += [random_digraph(rng, rng.randrange(1, 8)) for _ in range(300)]
+    for D in cases:
+        for v in range(D.n):
+            assert _first_orbit(D, v) == unfiltered_orbit(D, v), (D.n, sorted(D.arcs), v)
 
 
 @pytest.mark.parametrize("nranks, d", [(1, 3), (3, 0), (3, 1), (4, 2), (4, 3), (2, 4)])
@@ -482,14 +554,16 @@ def test_solver_nodes_are_deterministic():
 @pytest.mark.parametrize(
     "D, d, nodes",
     [
+        (path(4), None, [0, 0, 25, 13]),
         (path(5), None, [0, 0, 51, 24]),
         (path(6), None, [0, 0, 94, 4428, 68]),
+        (cycle(4), None, [0, 0, 10, 10]),
         (cycle(5), None, [0, 0, 15, 276, 38]),
         (cycle(6), None, [0, 0, 21, 1264, 14]),
         (path(8), 4, [4682]),
         (path(9), 4, [8584]),
     ],
-    ids=["path5", "path6", "cycle5", "cycle6", "path8-d4", "path9-d4"],
+    ids=["path4", "path5", "path6", "cycle4", "cycle5", "cycle6", "path8-d4", "path9-d4"],
 )
 def test_solver_node_counts_are_pinned(D, d, nodes):
     # The search's own regression gate, level by level from d = 2; levels
@@ -507,11 +581,11 @@ _LOW = [("empty", 0), ("condensed_tournament", 0)]
 @pytest.mark.parametrize(
     "D, levels",
     [
-        (path(5), _LOW + [("transitivity", 0), ("search", 24)]),
+        (path(5), _LOW + [("transitivity", 0), ("ceiling", 0)]),
         (path(6), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (path(7), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (cycle(5), _LOW + [("transitivity", 0), ("obstruction", 5), ("ceiling", 0)]),
-        (cycle(6), _LOW + [("transitivity", 0), ("search", 1264), ("ceiling", 0)]),
+        (cycle(6), _LOW + [("transitivity", 0), ("obstruction", 60), ("ceiling", 0)]),
         (cycle(7), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (path(10), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
         (cycle(10), _LOW + [("transitivity", 0), ("obstruction", 6), ("ceiling", 0)]),
