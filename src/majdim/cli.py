@@ -153,6 +153,8 @@ _GENERATED = {
 def _cmd_realize(args) -> int:
     method = args.method
     if method in _GENERATED:
+        if args.digraph:
+            raise ParseError(f"realize {method} takes one parameter n, not --digraph files")
         if len(args.params) != 1:
             raise ParseError(f"realize {method} takes exactly one parameter n")
         D = generate(method, args.params[0])

@@ -242,7 +242,7 @@ def check_cycle_matrix(n: int, entries) -> None:
     if type(n) is not int or n < 1:
         raise ConstructionError(f"row count must be a positive integer, got {n!r}")
     if len(entries) != n or any(len(row) != 4 for row in entries):
-        raise ConstructionError(f"expected an {n} x 4 matrix")
+        raise ConstructionError(f"expected {n} rows of 4 entries")
     for row in entries:
         for a in row:
             if type(a) is not int or a < 1:

@@ -3,9 +3,10 @@
 A decider answers a level with a SolveOutcome or passes (None); the first
 answer settles the level.  Each decider's docstring proves its rule.  The
 rules need an induced-subdigraph matcher, a table of certified
-obstructions and the path and cycle constructions, none of which the
-rest of the package uses, so `dimension` loads this module on its first
-call.
+obstructions and the path and cycle constructions.  Outside this module
+only the search's orbit scan (`solver._first_orbit`) uses the matcher, so
+`dimension` and that scan load this module on first use, and a command
+that asks for no dimension never does.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ Adjacency has one representation: `D.out[u]` and `D.into[v]` are the out-
 and in-neighbours as bitsets (Python ints, bit v of out[u] set iff u -> v).
 They are built from the arcs on first use and kept, so a digraph that is
 only printed never allocates them.  The predicates here, `verify` and the
-search all read their neighbourhoods from these rows.
+search all read their neighbourhoods from these rows; `condense` keys each
+vertex by a set built from the arcs instead, as its docstring explains.
 """
 
 from __future__ import annotations

@@ -159,11 +159,10 @@ class SolveOutcome:
     """Decision at one dimension, and the rule that reached it.
 
     A REALIZABLE outcome carries a witness that `realizer.verified` has
-    re-checked against the digraph, except two that are correct by
-    construction and skip the check: the d = 0 witness of "empty" (an
-    arcless digraph, and every margin in zero coordinates is 0) and the
-    search's for n = 0 (no vertex pair to compare).  reason names the
-    decider of `dimension` that settled the level: "empty",
+    re-checked against the digraph, except one that is correct by
+    construction and skips the check: the d = 0 witness of "empty" (an
+    arcless digraph, and every margin in zero coordinates is 0).  reason
+    names the decider of `dimension` that settled the level: "empty",
     "condensed_tournament", "transitivity", "obstruction" (with the
     obstruction it found), "ceiling" or "search", whose NOT_REALIZABLE is
     only reported after the pruned but complete tree has been exhausted.
@@ -248,6 +247,9 @@ class _Space:
             *([1 << i * width + r for r in range(1, nranks + 1)] for i in range(d)))))
         self.top = sum(1 << i * width + nranks for i in range(d))  # every ceiling at nranks
         self.ties = [sum(1 << i for i in range(d - 1) if x[i] == x[i + 1]) for x in self.vectors]
+        # ordered[i]: x[i] <= x[i+1], summed over the disjoint x[i] = r, x[i+1] >= r.
+        self.ordered = [sum(self.eq[i][r] & ~self.below[i + 1][r] for r in range(1, nranks + 1))
+                        for i in range(d - 1)]
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.vectors)
         self._tight_fields: dict[int, int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
@@ -355,10 +357,7 @@ class _Space:
                 self._masks.clear()
             mask = self.full
             for i in bits(pattern):
-                ordered = 0
-                for r in range(1, self.nranks + 1):
-                    ordered |= self.eq[i][r] & ~self.below[i + 1][r]
-                mask &= ordered
+                mask &= self.ordered[i]
             for i, field in enumerate(self.fields):
                 t = (ceilings & field).bit_length() - 1 - i * self.width
                 if t < self.nranks:
@@ -376,9 +375,7 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
-@lru_cache(maxsize=32)
-def _space_for(nranks: int, d: int) -> _Space:
-    return _Space(nranks, d)
+_space_for = lru_cache(maxsize=32)(_Space)
 
 
 def _first_orbit(D: Digraph, first: int) -> tuple[int, ...]:
@@ -398,16 +395,14 @@ def _first_orbit(D: Digraph, first: int) -> tuple[int, ...]:
     """
     n, out, into = D.n, D.out, D.into
     degree = [(o.bit_count(), i.bit_count()) for o, i in zip(out, into)]
-    alike = [w for w in range(n) if w != first and degree[w] == degree[first]]
-    if not alike:
-        return ()
 
     def profile(v: int):
         return (sorted([degree[t] for t in bits(out[v])]),
                 sorted([degree[t] for t in bits(into[v])]))
 
     root = profile(first)
-    alike = [w for w in alike if profile(w) == root]
+    alike = [w for w in range(n)
+             if w != first and degree[w] == degree[first] and profile(w) == root]
     if not alike:
         return ()
     from .deciders import induced_copy
@@ -454,10 +449,8 @@ class _Plan:
         return self._orbit
 
 
-@lru_cache(maxsize=1)
-def _plan(D: Digraph) -> _Plan:
-    # Kept for the last digraph, which every level of a climb searches.
-    return _Plan(D)
+# Kept for the last digraph, which every level of a climb searches.
+_plan = lru_cache(maxsize=1)(_Plan)
 
 
 def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
@@ -466,7 +459,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     _check_count("budget", budget)
     n = D.n
     if n == 0:
-        return SolveOutcome(Verdict.REALIZABLE, Realizer(d, {}), 0)
+        return SolveOutcome(Verdict.REALIZABLE, verified(D, Realizer(d, {}), "search"), 0)
     if n**d > _SPACE_SIZE_LIMIT:
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
@@ -533,20 +526,16 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     pattern = (1 << max(d - 1, 0)) - 1
     cand = mask(pattern, 0, space.top)
     unbounded = [space.full] * n
-    orbit = None
     found = False
     while cand and not found and not budget_hit:
         low = cand & -cand
         cand ^= low
         doms = unbounded
-        if low != 1:
-            if orbit is None:
-                orbit = plan.orbit()
-            if orbit:
-                key = space.at_least(low.bit_length() - 1)
-                doms = unbounded.copy()
-                for w in orbit:
-                    doms[w] = key
+        if low != 1 and (orbit := plan.orbit()):
+            key = space.at_least(low.bit_length() - 1)
+            doms = unbounded.copy()
+            for w in orbit:
+                doms[w] = key
         found = descend(first, low, rest, doms, pattern, 0, space.top)
     if found:
         witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
@@ -575,8 +564,8 @@ def dimension(
     budget-exhausted level stops the climb and yields bounds instead of a
     value, never an unproven claim.
     """
-    # Loaded on first use: nothing else in the package needs the matcher,
-    # the obstruction table or the family constructions behind the rules.
+    # Loaded on first use: outside the search's orbit scan nothing else in
+    # the package needs the matcher, the obstruction table or the rules.
     from . import deciders
 
     if max_d is not None:

@@ -141,11 +141,12 @@ def test_criterion_3_structure_sweep_729():
 
 
 def test_criterion_4_bounds_properties():
-    # cycle(4): value pinned by the complete d=3 search
+    # cycle(4): d=3 is settled by its verified 3-coordinate ceiling with no
+    # search; test_dimension_cycle4_settled_by_complete_search searches it.
     res = dimension(cycle(4), budget=BUDGET)
-    assert res.dimension in (3, 4)
+    assert res.dimension == 3
     d3 = dict(res.per_d)[3]
-    assert d3.verdict in (Verdict.REALIZABLE, Verdict.NOT_REALIZABLE)
+    assert d3.verdict is Verdict.REALIZABLE and d3.reason == "ceiling"
 
     rng = random.Random(77)
     checked = 0

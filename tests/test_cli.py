@@ -209,6 +209,12 @@ def test_counts_beyond_any_sequence_exit_two(capsys, tmp_path, argv, text):
     assert "exceeds sys.maxsize" in err and "Traceback" not in err
 
 
+def test_profile_negative_alternative_count_exits_two(capsys, tmp_path):
+    data = write(tmp_path, "data.json", '{"alternatives": -1, "voters": []}')
+    assert run(capsys, "profile", "margin", data) == (
+        2, "", f"error: {data}: negative alternative count -1\n")
+
+
 def test_profile_digraph_without_voters_allocates_nothing_per_alternative(tmp_path):
     data = write(tmp_path, "none.json", '{"alternatives": 10000000, "voters": []}')
     script = (
@@ -224,6 +230,46 @@ def test_profile_digraph_without_voters_allocates_nothing_per_alternative(tmp_pa
     rc, grown_kb = map(int, out.stderr.split())
     # One lane or one tuple per alternative would be tens of MB at this count.
     assert rc == 0 and grown_kb < 4096
+
+
+_LOAD_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from majdim.cli import main\n"
+    "loaded = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = main(argv)\n"
+    "    loaded.append([code, 'majdim.deciders' in sys.modules])\n"
+    "print(json.dumps(loaded))\n"
+)
+
+
+def test_only_dimension_commands_load_the_deciders(tmp_path):
+    # Constructions, verification and profiles never compile the matcher,
+    # the obstruction table or the rules; `dim` and `sweep` load them.
+    g = write(tmp_path, "g.txt", to_edge_list(path(3)))
+    r = write(tmp_path, "r.json", realizer_to_json(realize_path(3)))
+    p = write(tmp_path, "p.json", '{"alternatives": 3, "voters": [[3,2,1],[1,3,2],[2,1,3]]}')
+    pts = write(tmp_path, "pts.txt", "1 5\n2 4\n3 3\n")
+    methods = cli._COMMANDS["realize"][2][0][1]["choices"]
+    subcommands = cli._COMMANDS["profile"][2][0][1]["choices"]
+    light = [["gen", "path", "3"], ["verify", g, r], ["condense", g], ["es", pts],
+             *(["realize", m, "3"] for m in ("path", "cycle", "tournament", "empty")),
+             *(["realize", m, "-d", g] for m in ("generic", "condense-lift")),
+             ["realize", "union", "-d", g, "-d", g],
+             *(["profile", sub, r if sub == "from-realizer" else p] for sub in subcommands)]
+    loaders = [["dim", g], ["sweep", "2"]]
+    assert sorted(argv[1] for argv in light if argv[0] == "realize") == sorted(methods)
+    assert {argv[0] for argv in light + loaders} == set(cli._COMMANDS)
+
+    def probe(corpus):
+        out = subprocess.run([sys.executable, "-c", _LOAD_PROBE, json.dumps(corpus)],
+                             capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    assert probe(light) == [[0, False]] * len(light)
+    for argv in loaders:
+        assert probe([argv]) == [[0, True]], argv
 
 
 @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
@@ -356,6 +402,10 @@ def test_realize_rejects_bad_params(capsys):
          "realize generic takes exactly one --digraph file"),
         (["condense-lift", "-d", "g.txt", "-d", "g.txt"],
          "realize condense-lift takes exactly one --digraph file"),
+        *((argv, f"realize {argv[0]} takes one parameter n, not --digraph files")
+          for argv in (["path", "3", "-d", "missing.txt"], ["cycle", "3", "-d", "g.txt"],
+                       ["tournament", "3", "-d", "g.txt"], ["empty", "3", "-d", "g.txt"],
+                       ["path", "-d", "g.txt"])),
     ],
 )
 def test_realize_argument_errors_exit_two(capsys, tmp_path, monkeypatch, argv, message):

@@ -297,6 +297,24 @@ def test_cycle_matrix_rejects_non_integer_entries(value):
         check_cycle_matrix(4, rows)
 
 
+@pytest.mark.parametrize("shorten", ["drop-row", "short-row"])
+def test_cycle_matrix_rejects_wrong_shapes(shorten):
+    rows = [list(row) for row in cycle_matrix(4).entries]
+    if shorten == "drop-row":
+        rows.pop()
+    else:
+        rows[2].pop()
+    with pytest.raises(ConstructionError, match="^expected 4 rows of 4 entries$"):
+        CycleMatrix(4, tuple(tuple(row) for row in rows))
+    with pytest.raises(ConstructionError, match="^expected 4 rows of 4 entries$"):
+        check_cycle_matrix(4, rows)
+
+
+def test_add_arc_realizer_rejects_vertices_outside_the_digraph():
+    with pytest.raises(BadParams, match=r"arc \(0, 5\) outside 0\.\.1"):
+        add_arc_realizer(path(2), realize_path(2), (0, 5))
+
+
 @pytest.mark.parametrize("n", [4.0, True, False, "4", None, -1, 0])
 def test_cycle_matrix_rejects_bad_row_counts(n):
     entries = cycle_matrix(4).entries

@@ -183,6 +183,17 @@ def test_profile_validation():
         Profile(3, ((1, 2),))
 
 
+def test_negative_alternative_count_is_refused():
+    with pytest.raises(ProfileError, match="negative alternative count -1"):
+        Profile(-1, ())
+
+
+@pytest.mark.parametrize("voters", ["5", "[5]"], ids=["number", "list-of-numbers"])
+def test_profile_json_malformed_voters(voters):
+    with pytest.raises(ProfileError, match="malformed 'voters'"):
+        profile_from_json(f'{{"alternatives": 1, "voters": {voters}}}')
+
+
 @pytest.mark.parametrize(
     "alternatives, voters",
     [(2, ((1.5, 1),)), (2, (("abc", 1),)), (2, ((True, 1),)), (2.0, ((2, 1),)), (True, ((1,),))],

@@ -152,6 +152,11 @@ def test_extend_dims_pads_with_zeros():
         extend_dims(f, 0)
 
 
+def test_negative_dimension_is_refused():
+    with pytest.raises(BadDimension, match="dimension must be nonnegative, got -1"):
+        Realizer(-1, {})
+
+
 def test_extend_dims_preserves_path_verification():
     assert verify(path(3), extend_dims(P3_REALIZER, 5)).valid
 

@@ -168,6 +168,12 @@ def test_dimension_respects_max_d():
     assert res.lower == 3 and res.upper == 3
 
 
+def test_dimension_cut_by_max_d_has_no_witness():
+    res = dimension(cycle(5), max_d=2)
+    assert not res.known and res.witness is None
+    assert all(outcome.verdict is Verdict.NOT_REALIZABLE for _, outcome in res.per_d)
+
+
 def _levels(res):
     return [(d, outcome.verdict) for d, outcome in res.per_d]
 
