@@ -326,9 +326,9 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
 
 def _cmd_sweep(args) -> int:
     n = args.n
-    limit = 5 if args.dedup else 4
+    limit, mode = (5, "with") if args.dedup else (4, "without")
     if not (0 <= n <= limit):
-        raise ParseError(f"sweep supports n <= {limit} {'with' if args.dedup else 'without'} --dedup")
+        raise ParseError(f"sweep supports 0 <= n <= {limit} {mode} --dedup")
     rows = list(_sweep_rows(n, args.dedup, args.budget, args.max_d))
 
     if args.csv:
@@ -395,8 +395,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, "check a realizer against a digraph",
                [("digraph", {}), ("realizer", {})]),
     "realize": (_cmd_realize, "construct a realizer (self-verified before emit)", [
-        ("method", {"choices": ["path", "cycle", "tournament", "empty", "generic", "union",
-                                "condense-lift"]}),
+        ("method", {"choices": [*_GENERATED, "generic", "union", "condense-lift"]}),
         ("params", {"nargs": "*", "type": _int}),
         ("--digraph", "-d", {"action": "append", "default": [], "metavar": "FILE"})]),
     "dim": (_cmd_dim, "exact weak majority dimension: proved rules, then search",

@@ -212,7 +212,7 @@ def realize_path(n: int) -> Realizer:
         return Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 0, 3)})
     if n <= 5:
         return Realizer(3, dict(enumerate(_PATH_FIVE[:n])))
-    m = (n + 1) // 2 if n % 2 else (n + 2) // 2
+    m = n // 2 + 1
     vecs = {}
     for t in range(1, n + 1):
         if t % 2:

@@ -25,7 +25,7 @@ from .digraph import (
     subset_family,
 )
 from .realizer import Realizer, verified
-from .solver import Obstruction, SolveOutcome, Verdict, is_realizable
+from .solver import Obstruction, SolveOutcome, Verdict, _OutOfBudget, is_realizable
 
 
 @lru_cache(maxsize=1)
@@ -54,7 +54,8 @@ def induced_copy(P: Digraph, D: Digraph, budget: int,
     (embedding[u], embedding[v]) is an arc of D; it is None when no copy
     was found.  nodes counts the images tried, at most budget, and
     complete is False when the budget ran out before the answer was
-    settled.
+    settled: the image that would pass it raises `solver._OutOfBudget`,
+    which unwinds the recursion and is caught here, never by a caller.
 
     P's vertices are placed in a fixed order: next is always the one with
     the most arcs to those already placed, ties to the higher degree and
@@ -92,34 +93,33 @@ def induced_copy(P: Digraph, D: Digraph, budget: int,
     out, into = D.out, D.into
     image = [0] * k
     nodes = 0
-    budget_hit = False
 
     def place(i: int, used: int) -> bool:
-        nonlocal nodes, budget_hit
+        nonlocal nodes
         cand = allowed[i] & ~used
         for j, r in enumerate(relation[i]):
             t = image[j]
             cand &= into[t] if r > 0 else out[t] if r < 0 else ~(out[t] | into[t])
         while cand:
             if nodes >= budget:
-                budget_hit = True
-                return False
+                raise _OutOfBudget
             nodes += 1
             low = cand & -cand
             cand ^= low
             image[i] = low.bit_length() - 1
             if i + 1 == k or place(i + 1, used | low):
                 return True
-            if budget_hit:
-                return False
         return False
 
-    if k == 0 or place(0, 0):
-        embedding = [0] * k
-        for p, t in zip(order, image):
-            embedding[p] = t
-        return tuple(embedding), nodes, True
-    return None, nodes, not budget_hit
+    try:
+        if k and not place(0, 0):
+            return None, nodes, True
+    except _OutOfBudget:
+        return None, nodes, False
+    embedding = [0] * k
+    for p, t in zip(order, image):
+        embedding[p] = t
+    return tuple(embedding), nodes, True
 
 
 # The dimension-4 isomorphism classes on 5 vertices other than cycle(5),

@@ -102,9 +102,13 @@ Pruning, all of it completeness-preserving:
   needs no separate rule here.)
 
 Budgets are node counts, not wall time, so runs are reproducible; running
-out of budget is a verdict, never an error.  A level whose space n^d holds
-more than _SPACE_SIZE_LIMIT vectors is not searched and gets the same
-budget-exceeded verdict after 0 nodes.  All entry points are pure
+out of budget is a verdict, never an error.  The node that would pass the
+budget raises the private `_OutOfBudget`; `is_realizable` catches it
+above the recursion and answers BUDGET_EXCEEDED.  The orbit scan's matcher
+(`deciders.induced_copy`) stops the same way but catches its own signal,
+so its cap never reads as this search running out.  A level whose space
+n^d holds more than _SPACE_SIZE_LIMIT vectors is not searched and gets
+the same budget-exceeded verdict after 0 nodes.  All entry points are pure
 functions and may be called concurrently: the caches of spaces, masks and
 per-digraph plans only hold values that depend on their keys alone, so a
 race builds one twice, never differently, and no answer depends on the
@@ -133,6 +137,10 @@ class EmptyInput(ValueError):
 
 class BadPoint(ValueError):
     """A point is not a pair of int coordinates."""
+
+
+class _OutOfBudget(Exception):
+    """A bounded search hit its budget; the search that raised it catches it."""
 
 
 class Verdict(Enum):
@@ -471,21 +479,19 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     rows, build_row, mask = space._rows, space.row, space.mask
     chosen = [0] * n
     nodes = 0
-    budget_hit = False
 
     def descend(u: int, cand: int, rest: list[int], doms: list[int], pattern: int, used: int,
                 ceilings: int) -> bool:
         # Place u on each vector of cand in turn; rest holds the other
         # unassigned vertices in tie-break order.
-        nonlocal nodes, budget_hit
+        nonlocal nodes
         need_u = need[u]
         while cand:
             low = cand & -cand
             cand ^= low
             c = low.bit_length() - 1
             if nodes >= budget:
-                budget_hit = True
-                return False
+                raise _OutOfBudget
             nodes += 1
             chosen[u] = c
             if not rest:
@@ -514,8 +520,6 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
                 if descend(best, new_doms[best] & mask(next_pattern, next_used, next_ceilings),
                            nxt, new_doms, next_pattern, next_used, next_ceilings):
                     return True
-            if budget_hit:
-                return False
         return False
 
     # The root's candidates one at a time, each bounding the orbit's keys;
@@ -526,21 +530,20 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     pattern = (1 << max(d - 1, 0)) - 1
     cand = mask(pattern, 0, space.top)
     unbounded = [space.full] * n
-    found = False
-    while cand and not found and not budget_hit:
-        low = cand & -cand
-        cand ^= low
-        doms = unbounded
-        if low != 1 and (orbit := plan.orbit()):
-            key = space.at_least(low.bit_length() - 1)
-            doms = unbounded.copy()
-            for w in orbit:
-                doms[w] = key
-        found = descend(first, low, rest, doms, pattern, 0, space.top)
-    if found:
-        witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
-        return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "search"), nodes)
-    if budget_hit:
+    try:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            doms = unbounded
+            if low != 1 and (orbit := plan.orbit()):
+                key = space.at_least(low.bit_length() - 1)
+                doms = unbounded.copy()
+                for w in orbit:
+                    doms[w] = key
+            if descend(first, low, rest, doms, pattern, 0, space.top):
+                witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
+                return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "search"), nodes)
+    except _OutOfBudget:
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, nodes)
     return SolveOutcome(Verdict.NOT_REALIZABLE, None, nodes)
 

@@ -447,6 +447,36 @@ def test_dim_budget_exhaustion_exits_one(capsys, tmp_path):
     assert payload["unknown"]["lower"] <= payload["unknown"]["upper"]
 
 
+_S41_HEAD = ('{"d": 0, "verdict": "not_realizable", "nodes": 0, "reason": "empty"}, '
+             '{"d": 1, "verdict": "not_realizable", "nodes": 0, "reason": "condensed_tournament"}, ')
+_S41_OBSTRUCTED = ''.join(
+    f'{{"d": {d}, "verdict": "not_realizable", "nodes": {nodes}, "reason": "obstruction", '
+    '"obstruction": "subset_family(4, 1)", "vertices": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]}, '
+    for d, nodes in ((2, 10), (3, 0)))
+_S41_CLIMB = {
+    0: (1, '{"unknown": {"lower": 2, "upper": 24}, "per_d": [' + _S41_HEAD
+        + '{"d": 2, "verdict": "budget_exceeded", "nodes": 0, "reason": "search"}]}\n'),
+    5: (1, '{"unknown": {"lower": 2, "upper": 24}, "per_d": [' + _S41_HEAD
+        + '{"d": 2, "verdict": "budget_exceeded", "nodes": 5, "reason": "search"}]}\n'),
+    50: (1, '{"unknown": {"lower": 4, "upper": 24}, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
+         + '{"d": 4, "verdict": "budget_exceeded", "nodes": 50, "reason": "search"}]}\n'),
+    1000: (0, '{"dimension": 4, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
+           + '{"d": 4, "verdict": "realizable", "nodes": 321, "reason": "search"}]}\n'),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_S41_CLIMB))
+def test_dim_climb_where_each_search_runs_out_is_pinned(capsys, tmp_path, budget):
+    # On subset_family(4, 1) the obstruction scan needs 10 matcher nodes.
+    # Budget 5 stops it short, so d = 2 goes to the search, which stops at
+    # 5; budget 50 finds the copy, excluding d = 2 and 3, and the d = 4
+    # search stops at 50; budget 1000 answers 4 after 321 search nodes.
+    code, text, _ = run(capsys, "gen", "subset-family", "4", "1")
+    assert code == 0
+    g = write(tmp_path, "s41.txt", text)
+    assert run(capsys, "dim", g, "--budget", str(budget)) == (*_S41_CLIMB[budget], "")
+
+
 def test_dim_ignores_env_budget(capsys, tmp_path, monkeypatch):
     # the node budget is set by --budget alone
     monkeypatch.setenv("MAJDIM_BUDGET", "3")
@@ -773,10 +803,12 @@ def test_sweep_csv_mode(capsys):
 
 
 def test_sweep_rejects_large_n(capsys):
-    code, _, _ = run(capsys, "sweep", "5")
-    assert code == 2
-    code, _, _ = run(capsys, "sweep", "6", "--dedup")
-    assert code == 2
+    for argv, bound in [(["5"], "0 <= n <= 4 without"), (["-1"], "0 <= n <= 4 without"),
+                        (["6", "--dedup"], "0 <= n <= 5 with"),
+                        (["-1", "--dedup"], "0 <= n <= 5 with")]:
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: sweep supports {bound} --dedup\n"
 
 
 def test_profile_commands(capsys, tmp_path):

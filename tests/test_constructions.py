@@ -248,6 +248,11 @@ def test_realize_path_goldens():
         3: (2, 2, 1),
         4: (1, 1, 5),
     }
+    # n >= 6: m = n // 2 + 1, so 6 and 7 both have m = 4, and 6 is a prefix of 7.
+    six = {0: (7, 7, 1, 1), 1: (6, 6, 0, 4), 2: (5, 5, 3, 3), 3: (4, 4, 2, 6),
+           4: (3, 3, 5, 5), 5: (2, 2, 4, 8)}
+    assert realize_path(6).vectors == six
+    assert realize_path(7).vectors == {**six, 6: (1, 1, 7, 7)}
     with pytest.raises(BadParams):
         realize_path(0)
 

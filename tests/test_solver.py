@@ -35,6 +35,7 @@ from majdim import (
     subset_family,
     verify,
 )
+from majdim import deciders
 from majdim.cli import _sweep_rows
 from majdim.deciders import _obstructions, induced_copy
 from majdim.solver import _first_orbit, _plan, _Space, _space_for
@@ -126,6 +127,42 @@ def test_dimension_witness_and_bounds_fields():
     assert res.known and res.lower == res.upper == 3
     assert verify(path(3), res.witness).valid
     assert [d for d, _ in res.per_d] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("D, d, verdict, finish", [
+    (cycle(4), 3, Verdict.REALIZABLE, 10),
+    (path(5), 3, Verdict.REALIZABLE, 24),
+    (subset_family(3, 1), 2, Verdict.NOT_REALIZABLE, 160),
+    (cycle(5), 3, Verdict.NOT_REALIZABLE, 276),
+], ids=["cycle(4)", "path(5)", "subset_family(3, 1)", "cycle(5)"])
+def test_is_realizable_answers_at_every_budget(D, d, verdict, finish):
+    # Every budget below the finishing count runs out after exactly that
+    # many nodes, and the finishing count gives the final answer.
+    for budget in range(finish):
+        assert is_realizable(D, d, budget) == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, budget)
+    out = is_realizable(D, d, finish)
+    assert (out.verdict, out.nodes_explored) == (verdict, finish)
+    assert out == is_realizable(D, d)
+
+
+def test_orbit_matcher_running_out_is_not_the_search_running_out(monkeypatch):
+    # The orbit scan runs the matcher inside the search's root loop.  With
+    # every matcher run capped at one node, each run is cut short and the
+    # orbit stays empty, yet the search still exhausts its tree.
+    runs = []
+
+    def capped(P, D, budget, pin=None):
+        runs.append(induced_copy(P, D, 1, pin=pin))
+        return runs[-1]
+
+    monkeypatch.setattr(deciders, "induced_copy", capped)
+    _plan.cache_clear()
+    try:
+        out = is_realizable(cycle(5), 3)
+    finally:
+        _plan.cache_clear()
+    assert runs and all(complete is False for _, _, complete in runs)
+    assert out.verdict is Verdict.NOT_REALIZABLE
 
 
 def test_dimension_budget_exhaustion_reports_bounds():
@@ -276,6 +313,18 @@ def test_induced_copy_stops_at_its_budget():
     assert induced_copy(path(6), path(7), 3) == (None, 3, False)
     assert induced_copy(path(6), path(7), 6) == ((0, 1, 2, 3, 4, 5), 6, True)
     assert induced_copy(path(6), path(5), 0) == (None, 0, True)
+
+
+@pytest.mark.parametrize("P, D, pin, finish, embedding", [
+    (path(6), path(7), None, 6, (0, 1, 2, 3, 4, 5)),
+    (cycle(5), cycle(5), (0, 2), 5, (2, 3, 4, 0, 1)),
+])
+def test_induced_copy_answers_at_every_budget(P, D, pin, finish, embedding):
+    # Every budget below the finishing count runs out after exactly that
+    # many nodes; from the finishing count on, the copy is found.
+    for budget in range(finish + 2):
+        expected = (None, budget, False) if budget < finish else (embedding, finish, True)
+        assert induced_copy(P, D, budget, pin=pin) == expected
 
 
 def test_induced_copy_honours_its_pin():
