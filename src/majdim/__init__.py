@@ -69,6 +69,7 @@ from .constructions import (
     TooFewParts,
     WouldBreakSimplicity,
     add_arc_realizer,
+    arc_cover,
     check_cycle_matrix,
     condense_lift,
     cycle_matrix,

@@ -259,7 +259,8 @@ def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRo
         dim1_condensation=bool(cr.condensed.arcs) and is_acyclic_tournament(cr.condensed),
     )
     if row.dimension is not None:
-        if row.dimension > 2 * row.arc_count or (row.dimension == 0) != (row.arc_count == 0):
+        if (row.dimension > 2 * min(row.arc_count, row.n)
+                or (row.dimension == 0) != (row.arc_count == 0)):
             raise SelfCheckFailed(f"sweep row breaks dimension bounds: {row}")
     return row
 

@@ -14,6 +14,7 @@ from .digraph import (
     BadParams,
     CondensationResult,
     Digraph,
+    bits,
     condense,
     cycle,
     is_tournament,
@@ -383,32 +384,111 @@ def realize_cycle(n: int) -> Realizer:
     return Realizer(4, {i: matrix.entries[i] for i in range(n)})
 
 
-def generic_realizer(D: Digraph) -> Realizer:
-    """Realizer of an arbitrary digraph in dimension 2 * #arcs.
+def arc_cover(D: Digraph) -> tuple[list[int], list[int]]:
+    """A least set of tail and head choices that covers every arc of D.
 
-    McGarvey's (1953) construction: two coordinates (two voters) per arc,
-    arcs taken in lexicographic order, the first arc's pair from
-    _FIRST_ARC_COLUMNS and every later one's from _LATER_ARC_COLUMNS.
-    Margins add up pair by pair.  Each pair adds a positive amount to its
-    own arc's margin (+2 for the first pair, +1 for a later one) and 0 to
-    every other vertex pair's margin, since a bystander splits 1-1 against
-    both endpoints and two bystanders tie.  Summed over all pairs, u beats
-    v exactly when (u, v) is an arc and non-adjacent pairs tie.  Far from
-    minimal, but it bounds the dimension of every digraph and so caps the
-    exact search.
+    Returns (tails, heads), each ascending: every arc (u, v) has u in
+    tails or v in heads, and len(tails) + len(heads) is the least
+    possible.  Take the bipartite graph with a tail copy and a head copy
+    of each vertex and one edge per arc; a cover is a vertex cover of it,
+    so by König's theorem its least size is nu, the size of a maximum
+    matching, and nu <= min(n, #arcs).
 
-    The output equals folding add_arc_realizer over the sorted arcs from
-    realize_empty, but each vertex's coordinates are appended to one list,
-    so the cost is linear in n * #arcs.
+    The matching grows by one augmenting path per tail (_augment), a
+    breadth-first walk with no recursion, so paths as long as n are
+    fine.  Then König's step: Z is what alternating walks reach from the
+    unmatched tails, tail to head along any arc and head to tail along
+    its matching edge.  The tails outside Z and the heads inside Z cover
+    every arc: for an arc (u, v) with u in Z, v is reached either from u
+    or, when (u, v) is u's matching edge, before u.  Each head in Z is
+    matched, or its walk would augment, and its mate lies in Z; each
+    tail outside Z is matched and its mate lies outside Z.  So every
+    matching edge has exactly one end in the cover and the cover has nu
+    vertices, the least, since the nu disjoint matching edges need one
+    end each.
     """
-    arcs = D.sorted_arcs()
-    if not arcs:
+    n, out = D.n, D.out
+    mate = [-1] * n  # mate[v]: the tail matched to head v
+    for s in range(n):
+        if out[s]:
+            _augment(s, out, mate)
+    matched = set(mate)
+    queue = [u for u in range(n) if u not in matched]
+    reached = 0
+    for u in queue:
+        fresh = out[u] & ~reached
+        reached |= fresh
+        queue.extend(mate[v] for v in bits(fresh))
+    in_z = set(queue)
+    return [u for u in range(n) if u not in in_z], list(bits(reached))
+
+
+def _augment(s: int, out, mate: list[int]) -> None:
+    """Grow the matching by one edge along an alternating path from the
+    unmatched tail s, when one exists: breadth first from s, tail to its
+    unseen heads and matched head to its mate, then flip the path back."""
+    seen = 0
+    parent: dict[int, int] = {}  # head -> the tail that reached it
+    via: dict[int, int] = {}  # matched tail -> its head on the walk
+    queue = [s]
+    for u in queue:
+        fresh = out[u] & ~seen
+        seen |= fresh
+        for v in bits(fresh):
+            parent[v] = u
+            if mate[v] < 0:
+                while True:
+                    u = parent[v]
+                    mate[v] = u
+                    if u == s:
+                        return
+                    v = via[u]
+            via[mate[v]] = v
+            queue.append(mate[v])
+
+
+def generic_realizer(D: Digraph) -> Realizer:
+    """Realizer of an arbitrary digraph in dimension 2 * nu, where nu is
+    the size of arc_cover(D), so at most min(2n, 2 * #arcs).
+
+    Two voters (coordinates) per vertex of the cover, in the spirit of
+    Stearns ("The voting problem", 1959).  A voter lists the vertices
+    best first, and the k-th listed gets coordinate n + 1 - k.  O, I and
+    R are v's out-neighbours, in-neighbours and the rest of the vertices
+    other than v, each ascending.  The tails come first, then the heads,
+    each ascending:
+
+        tail v:  "v, O, R"  and  "rev R, v, rev O"
+        head v:  "I, v, R"  and  "rev R, rev I, v"
+
+    Margins add up pair by pair.  A tail pair ranks v above each o in O
+    twice, +2 on the arc (v, o).  Every other vertex pair is ordered one
+    way by one voter and the other way by the other, 0: v against R, O
+    against R, and two vertices inside O or inside R, whose order the
+    second voter reverses.  A head pair is the mirror image: each i in I
+    beats v twice, +2 on the arc (i, v), and v against R, I against R and
+    pairs inside I or R split.  Summed over the cover, an arc gains +2
+    from each of its ends in the cover, at least one, and every other
+    pair stays 0: u beats v exactly when (u, v) is an arc.  McGarvey's
+    two voters per arc (1953) are the fold of add_arc_realizer over the
+    sorted arcs.
+    """
+    tails, heads = arc_cover(D)
+    if not tails and not heads:
         return realize_empty(D)
-    coords: list[list[int]] = [[] for _ in range(D.n)]
-    for k, (u, v) in enumerate(arcs):
-        u_pair, v_pair, rest = _LATER_ARC_COLUMNS if k else _FIRST_ARC_COLUMNS
-        for col in coords:
-            col += rest
-        coords[u][-2:] = u_pair
-        coords[v][-2:] = v_pair
-    return Realizer(2 * len(arcs), {w: tuple(col) for w, col in enumerate(coords)})
+    n, out, into = D.n, D.out, D.into
+    everyone = (1 << n) - 1
+    orders = []
+    for v in tails:
+        O, R = list(bits(out[v])), list(bits(everyone ^ out[v] ^ 1 << v))
+        orders += [[v, *O, *R], [*R[::-1], v, *O[::-1]]]
+    for v in heads:
+        I, R = list(bits(into[v])), list(bits(everyone ^ into[v] ^ 1 << v))
+        orders += [[*I, v, *R], [*R[::-1], *I[::-1], v]]
+    columns = []
+    for order in orders:
+        col = [0] * n
+        for w, rank in zip(order, range(n, 0, -1)):
+            col[w] = rank
+        columns.append(col)
+    return Realizer(len(columns), dict(enumerate(zip(*columns))))

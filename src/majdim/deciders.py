@@ -196,10 +196,15 @@ class Climb:
     """The digraph and budget of one `dimension` call, with the ceiling
     and the obstruction scan that its deciders share.
 
-    Verifying a ceiling compares all n(n - 1)/2 vertex pairs (and
-    realize_cycle checks its matrix the same way), so a ceiling is built
-    only when that many pairs fit in the budget; otherwise it stays the
-    generic 2 * #arcs as a bound and its level goes to the search.
+    The ceiling of a constructive climb is realize_path or realize_cycle
+    when D is a directed path or cycle, else 2 * nu, the dimension of
+    generic_realizer; only nu is computed here, and `_by_ceiling` builds
+    the realizer if the climb reaches that level.  Verifying a ceiling
+    compares all n(n - 1)/2 vertex pairs (and realize_cycle checks its
+    matrix the same way), so a climb is constructive only when that many
+    pairs fit in the budget.  Otherwise, and whenever every level is
+    searched, the ceiling is McGarvey's 2 * #arcs, a bound only, and its
+    level goes to the search.
     """
 
     def __init__(self, D: Digraph, budget: int, rules: bool):
@@ -207,7 +212,12 @@ class Climb:
         self.budget = budget
         self.constructive = rules and D.n * (D.n - 1) // 2 <= budget
         self.family = _family_ceiling(D) if self.constructive else None
-        self.ceiling = 2 * len(D.arcs) if self.family is None else self.family.d
+        if self.family is not None:
+            self.ceiling = self.family.d
+        elif self.constructive:
+            self.ceiling = 2 * sum(map(len, constructions.arc_cover(D)))
+        else:
+            self.ceiling = 2 * len(D.arcs)
         self.scan: tuple[Obstruction | None, int] | None = None
 
 

@@ -192,8 +192,9 @@ class DimensionResult:
     When `dimension` is set, lower == upper == dimension.  Otherwise the
     value lies in [lower, upper]; upper is the ceiling, the dimension of
     the cheapest construction: a directed path's or cycle's own realizer,
-    else the generic 2 * #arcs (always 2 * #arcs when every level is
-    searched).
+    else generic_realizer's 2 * nu, nu the size of a maximum matching of
+    the arcs.  It is McGarvey's 2 * #arcs when every level is searched or
+    the budget cannot cover verifying a ceiling (`deciders.Climb`).
     """
 
     dimension: int | None
@@ -561,11 +562,11 @@ def dimension(
     transitivity (d <= 2), an induced obstruction, the ceiling and the
     complete search, each proved in its docstring in `deciders`.  The
     ceiling is a verified realize_path/realize_cycle when D is a directed
-    path or cycle, else the generic 2 * #arcs, and it caps the climb
-    together with max_d (`deciders.Climb` says when it is built).  With
-    shortcuts=False every level is searched, up to 2 * #arcs.  The first
-    budget-exhausted level stops the climb and yields bounds instead of a
-    value, never an unproven claim.
+    path or cycle, else generic_realizer's 2 * nu <= 2n, and it caps the
+    climb together with max_d (`deciders.Climb` says when it is built).
+    With shortcuts=False every level is searched, up to 2 * #arcs.  The
+    first budget-exhausted level stops the climb and yields bounds
+    instead of a value, never an unproven claim.
     """
     # Loaded on first use: outside the search's orbit scan nothing else in
     # the package needs the matcher, the obstruction table or the rules.

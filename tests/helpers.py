@@ -173,6 +173,24 @@ def random_digraph(rng, n):
     return Digraph(n, frozenset(arcs))
 
 
+def naive_matching_number(D):
+    """nu: the most arcs of D with no two sharing a tail or a head, by
+    Kuhn's augmenting paths over the arc list."""
+    heads_of = {u: [v for a, v in sorted(D.arcs) if a == u] for u in range(D.n)}
+    mate = {}  # head -> its tail
+
+    def augment(u, seen):
+        for v in heads_of[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in mate or augment(mate[v], seen):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(D.n))
+
+
 def cycle_matrix_failures(n, entries):
     """Check the five cycle-matrix conditions from their definitions.
 

@@ -458,7 +458,7 @@ _S41_CLIMB = {
         + '{"d": 2, "verdict": "budget_exceeded", "nodes": 0, "reason": "search"}]}\n'),
     5: (1, '{"unknown": {"lower": 2, "upper": 24}, "per_d": [' + _S41_HEAD
         + '{"d": 2, "verdict": "budget_exceeded", "nodes": 5, "reason": "search"}]}\n'),
-    50: (1, '{"unknown": {"lower": 4, "upper": 24}, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
+    50: (1, '{"unknown": {"lower": 4, "upper": 8}, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
          + '{"d": 4, "verdict": "budget_exceeded", "nodes": 50, "reason": "search"}]}\n'),
     1000: (0, '{"dimension": 4, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
            + '{"d": 4, "verdict": "realizable", "nodes": 321, "reason": "search"}]}\n'),
@@ -471,6 +471,8 @@ def test_dim_climb_where_each_search_runs_out_is_pinned(capsys, tmp_path, budget
     # Budget 5 stops it short, so d = 2 goes to the search, which stops at
     # 5; budget 50 finds the copy, excluding d = 2 and 3, and the d = 4
     # search stops at 50; budget 1000 answers 4 after 321 search nodes.
+    # From budget 45 on, its 45 vertex pairs fit, so the climb is
+    # constructive and its upper bound is 2 * nu = 8, not 2 * #arcs = 24.
     code, text, _ = run(capsys, "gen", "subset-family", "4", "1")
     assert code == 0
     g = write(tmp_path, "s41.txt", text)
@@ -791,6 +793,23 @@ def test_sweep_row_outside_its_bounds_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("internal error: sweep row breaks dimension bounds: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sweep_row_above_twice_the_vertex_count_exits_three(capsys, monkeypatch):
+    # Each digraph on 4 vertices with 5 or 6 arcs is given dimension 9: at
+    # most 2 * #arcs, but above 2n = 8, which 2 * nu <= 2n rules out.
+    real = solver.dimension
+
+    def inflated(D, **kwargs):
+        if 2 * D.n + 1 <= 2 * len(D.arcs):
+            return solver.DimensionResult(2 * D.n + 1, 2 * D.n + 1, 2 * D.n + 1, ())
+        return real(D, **kwargs)
+
+    monkeypatch.setattr(solver, "dimension", inflated)
+    code, out, err = run(capsys, "sweep", "4")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: sweep row breaks dimension bounds: ")
+    assert "dimension=9" in err and "arc_count=5" in err
 
 
 def test_sweep_csv_mode(capsys):

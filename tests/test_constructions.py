@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from majdim import (
     WouldBreakSimplicity,
     acyclic_tournament,
     add_arc_realizer,
+    arc_cover,
     build,
     check_cycle_matrix,
     condense,
@@ -37,10 +39,16 @@ from majdim import (
     realize_path,
     realizer_to_json,
     single_arc,
+    subset_family,
     union_realizer,
     verify,
 )
-from helpers import cycle_matrix_failures, random_digraph
+from helpers import (
+    all_labeled_digraphs,
+    cycle_matrix_failures,
+    naive_matching_number,
+    random_digraph,
+)
 
 
 def test_realize_empty():
@@ -162,13 +170,24 @@ def test_constructions_ignore_keys_beyond_the_digraph():
     assert sorted(lifted.vectors) == [0, 1, 2] and verify(D, lifted).valid
 
 
+def _mcgarvey_fold(D):
+    """McGarvey's two coordinates per arc: add_arc_realizer folded over
+    the sorted arcs, starting from realize_empty."""
+    f = realize_empty(empty(D.n))
+    current = empty(D.n)
+    for arc in D.sorted_arcs():
+        f = add_arc_realizer(current, f, arc)
+        current = Digraph(D.n, current.arcs | {arc})
+    return f
+
+
 def _random_union_parts(rng):
-    # generic realizers under order-preserving coordinate maps plus zero
+    # McGarvey realizers under order-preserving coordinate maps plus zero
     # padding: odd and even d, negative coordinates, empty and 0-d parts
     parts = []
     for _ in range(rng.randrange(2, 5)):
         D = random_digraph(rng, rng.randrange(0, 6))
-        f = generic_realizer(D)
+        f = _mcgarvey_fold(D)
         scale = [rng.randrange(1, 4) for _ in range(f.d)]
         shift = [rng.randrange(-5, 6) for _ in range(f.d)]
         pad = (0,) * rng.randrange(3)
@@ -413,29 +432,78 @@ def test_generic_realizer_examples():
 
 
 def test_generic_realizer_path3_golden():
-    assert generic_realizer(path(3)).vectors == {0: (2, 3, 0, 1), 1: (1, 2, 2, 0), 2: (3, 1, 1, 0)}
+    assert _mcgarvey_fold(path(3)).vectors == {0: (2, 3, 0, 1), 1: (1, 2, 2, 0), 2: (3, 1, 1, 0)}
 
 
 def test_generic_realizer_equals_add_arc_fold():
-    # the direct column build must match the one-arc-at-a-time extension
+    # The fold appends McGarvey's columns directly: for the k-th sorted arc
+    # (u, v), u's pair, v's pair and every other vertex's pair are
+    # (2, 3), (1, 2), (3, 1) for the first arc, with no earlier coordinates,
+    # and (2, 0), (1, 0), (0, 1) for each later one.
     rng = random.Random(1953)
     for _ in range(200):
         D = random_digraph(rng, rng.randrange(0, 13))
-        f = realize_empty(empty(D.n))
-        current = Digraph(D.n, frozenset())
-        for arc in D.sorted_arcs():
-            f = add_arc_realizer(current, f, arc)
-            current = Digraph(D.n, current.arcs | {arc})
-        assert generic_realizer(D) == f
+        coords = [[] for _ in range(D.n)]
+        for k, (u, v) in enumerate(D.sorted_arcs()):
+            pairs = ((2, 0), (1, 0), (0, 1)) if k else ((2, 3), (1, 2), (3, 1))
+            for w, col in enumerate(coords):
+                col += pairs[0] if w == u else pairs[1] if w == v else pairs[2]
+        want = Realizer(2 * len(D.arcs), {w: tuple(col) for w, col in enumerate(coords)})
+        assert _mcgarvey_fold(D) == want
 
 
 def test_generic_realizer_dimension_is_twice_arc_count():
     rng = random.Random(5)
     for _ in range(40):
         D = random_digraph(rng, rng.randrange(1, 7))
-        f = generic_realizer(D)
+        f = _mcgarvey_fold(D)
         assert f.d == (2 * len(D.arcs) if D.arcs else 0)
         assert verify(D, f).valid
+
+
+def _check_cover_realizer(D):
+    tails, heads = arc_cover(D)
+    assert tails == sorted(set(tails)) and heads == sorted(set(heads))
+    assert all(u in tails or v in heads for u, v in D.arcs)
+    nu = naive_matching_number(D)
+    assert len(tails) + len(heads) == nu
+    f = generic_realizer(D)
+    assert f.d == 2 * nu
+    assert verify(D, f).valid
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_generic_realizer_is_twice_matching_number_on_every_small_digraph(n):
+    for D in all_labeled_digraphs(n):
+        _check_cover_realizer(D)
+
+
+def test_generic_realizer_is_twice_matching_number_on_random_digraphs():
+    rng = random.Random(1959)
+    for _ in range(300):
+        _check_cover_realizer(random_digraph(rng, rng.randrange(0, 13)))
+
+
+@pytest.mark.parametrize("D, d", [(subset_family(4, 1), 8), (subset_family(5, 1), 10),
+                                  (cycle(10), 20)],
+                         ids=["subset_family(4, 1)", "subset_family(5, 1)", "cycle(10)"])
+def test_generic_realizer_widths(D, d):
+    f = generic_realizer(D)
+    assert f.d == d and verify(D, f).valid
+
+
+def test_arc_cover_follows_long_augmenting_paths_without_recursion():
+    # An oriented path s -> h0 <- t0 -> h1 <- t1 -> ... <- t1498 -> h1499
+    # on 3,000 vertices, plus the chord h1499 -> s.  Tails t_i = i come
+    # before s = 1499 and each takes its lower head h_i = 1500 + i, so the
+    # only augmenting path from s runs through every t_i to h1499.
+    k = 1499
+    arcs = [(k, 1500)] + [(i, 1500 + j) for i in range(k) for j in (i, i + 1)]
+    D = build(3000, arcs + [(2999, k)])
+    assert sys.getrecursionlimit() < D.n
+    tails, heads = arc_cover(D)
+    assert len(tails) + len(heads) == 1501
+    assert all(u in tails or v in heads for u, v in D.arcs)
 
 
 def test_randomized_construction_soundness():

@@ -45,6 +45,7 @@ from helpers import (
     cyclic_tournament,
     naive_induced_two_paths,
     naive_margin,
+    naive_matching_number,
     naive_realizable,
     quadratic_es,
     random_digraph,
@@ -175,6 +176,19 @@ def test_dimension_budget_exhaustion_reports_bounds():
     assert res.lower >= 1
     assert res.upper == 2 * len(D.arcs)
     assert res.per_d[-1][1].verdict is Verdict.BUDGET_EXCEEDED
+
+
+def test_constructive_climb_bounds_by_twice_matching_number():
+    # subset_family(4, 1) has 10 vertices, so at budget 50 its 45 vertex
+    # pairs fit: the climb is constructive, and once the obstruction
+    # excludes d = 2 and 3 the d = 4 search runs out, leaving [4, 2 * nu].
+    D = subset_family(4, 1)
+    res = dimension(D, budget=50)
+    assert not res.known and res.lower == 4
+    assert res.upper == 2 * naive_matching_number(D) == 8 < 2 * len(D.arcs)
+    assert res.per_d[-1][1].verdict is Verdict.BUDGET_EXCEEDED
+    # With room to finish, the search answers 4 below that ceiling.
+    assert dimension(D, budget=1000).dimension == 4
 
 
 @pytest.mark.parametrize("d", [True, 2.0, "2", -1])
