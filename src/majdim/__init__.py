@@ -78,6 +78,7 @@ from .constructions import (
     realize_cycle,
     realize_empty,
     realize_path,
+    star_forests,
     union_realizer,
 )
 from .solver import (

@@ -447,48 +447,97 @@ def _augment(s: int, out, mate: list[int]) -> None:
             queue.append(mate[v])
 
 
+def star_forests(D: Digraph) -> list[list[tuple[int, int, bool]]]:
+    """The stars of arc_cover(D), packed first fit into star forests.
+
+    A star is (center, leaves, out), leaves a bitset: an out-star holds
+    the arcs from its center to its leaves, an in-star those from its
+    leaves to its center.  Tail v takes all of D.out[v] and head v takes
+    D.into[v] minus the tails, so every arc lies in exactly one star, and
+    the empty stars are dropped.  There are at most nu of them, one per
+    vertex of the cover.
+
+    Each round makes one forest of vertex-disjoint stars.  It sorts the
+    stars with leaves left by their count, most first, ties to the lower
+    star index (the tails first, then the heads, each ascending), and
+    takes each star whose center is still free, with those of its
+    remaining leaves that are still free, when there is at least one;
+    the center and those leaves are then used.  Every vertex is free at
+    the start of a round, so its first star is taken whole and retired:
+    each forest retires at least one of the at most nu stars, and there
+    are k <= nu forests.
+    """
+    tails, heads = arc_cover(D)
+    tail_set = sum(1 << v for v in tails)
+    stars = [(v, True) for v in tails] + [(v, False) for v in heads]
+    left = [D.out[v] for v in tails] + [D.into[v] & ~tail_set for v in heads]
+    live = [i for i, leaves in enumerate(left) if leaves]
+    forests = []
+    while live:
+        live.sort(key=lambda i: (-left[i].bit_count(), i))
+        used, forest = 0, []
+        for i in live:
+            center, out = stars[i]
+            take = left[i] & ~used
+            if take and not used >> center & 1:
+                used |= take | 1 << center
+                left[i] ^= take
+                forest.append((center, take, out))
+        forests.append(forest)
+        live = [i for i in live if left[i]]
+    return forests
+
+
+def star_forest_realizer(n: int, forests: list[list[tuple[int, int, bool]]]) -> Realizer:
+    """Realizer on n vertices with two voters (coordinates) per star
+    forest, whose margin is +2 on each arc of the forests and 0 on every
+    other vertex pair (see generic_realizer).
+
+    A voter lists the vertices best first, and the k-th listed gets
+    coordinate n + 1 - k.  Per forest, with L a star's leaves ascending
+    and U the vertices of no star ascending, the first voter lists the
+    stars in the forest's order, an out-star as "c, L" and an in-star as
+    "L, c", then U.  The second lists "rev U", then the stars in reverse
+    order, an out-star as "c, rev L" and an in-star as "rev L, c".
+    """
+    columns = []
+    for forest in forests:
+        first, later, used = [], [], 0
+        for center, leaves, out in forest:
+            L = list(bits(leaves))
+            used |= leaves | 1 << center
+            first += [center, *L] if out else [*L, center]
+            later.append([center, *L[::-1]] if out else [*L[::-1], center])
+        rest = list(bits(((1 << n) - 1) & ~used))
+        second = rest[::-1] + [w for star in reversed(later) for w in star]
+        for order in (first + rest, second):
+            col = [0] * n
+            for w, rank in zip(order, range(n, 0, -1)):
+                col[w] = rank
+            columns.append(col)
+    return Realizer(len(columns), dict(enumerate(zip(*columns) if columns else [()] * n)))
+
+
 def generic_realizer(D: Digraph) -> Realizer:
-    """Realizer of an arbitrary digraph in dimension 2 * nu, where nu is
-    the size of arc_cover(D), so at most min(2n, 2 * #arcs).
+    """Realizer of an arbitrary digraph in dimension 2k, where k is the
+    number of star_forests(D), so at most 2 * nu <= min(2n, 2 * #arcs),
+    nu the size of arc_cover(D).
 
-    Two voters (coordinates) per vertex of the cover, in the spirit of
-    Stearns ("The voting problem", 1959).  A voter lists the vertices
-    best first, and the k-th listed gets coordinate n + 1 - k.  O, I and
-    R are v's out-neighbours, in-neighbours and the rest of the vertices
-    other than v, each ascending.  The tails come first, then the heads,
-    each ascending:
-
-        tail v:  "v, O, R"  and  "rev R, v, rev O"
-        head v:  "I, v, R"  and  "rev R, rev I, v"
-
-    Margins add up pair by pair.  A tail pair ranks v above each o in O
-    twice, +2 on the arc (v, o).  Every other vertex pair is ordered one
-    way by one voter and the other way by the other, 0: v against R, O
-    against R, and two vertices inside O or inside R, whose order the
-    second voter reverses.  A head pair is the mirror image: each i in I
-    beats v twice, +2 on the arc (i, v), and v against R, I against R and
-    pairs inside I or R split.  Summed over the cover, an arc gains +2
-    from each of its ends in the cover, at least one, and every other
-    pair stays 0: u beats v exactly when (u, v) is an arc.  McGarvey's
+    Two voters per star forest (star_forest_realizer), in the spirit of
+    Stearns ("The voting problem", 1959) and of star arboricity
+    (Alon-McDiarmid-Reed, 1992).  Margins add up pair by pair.  In one
+    forest's pair, the center of an out-star precedes its leaves in both
+    voters, +2 on each of its arcs, and the leaves of an in-star precede
+    their center in both, +2 again.  Every other vertex pair is ordered
+    one way by one voter and the other way by the other, 0: two leaves
+    of one star, whose order the second voter reverses; two vertices of
+    different stars, whose stars it reverses; a star's vertex against
+    one of no star, which the first voter puts last and the second
+    first; and two vertices of no star.  The stars are vertex-disjoint,
+    so these cases are all the pairs.  Every arc lies in exactly one
+    star of one forest, so summed over the forests it gets +2 and every
+    other pair 0: u beats v exactly when (u, v) is an arc.  McGarvey's
     two voters per arc (1953) are the fold of add_arc_realizer over the
     sorted arcs.
     """
-    tails, heads = arc_cover(D)
-    if not tails and not heads:
-        return realize_empty(D)
-    n, out, into = D.n, D.out, D.into
-    everyone = (1 << n) - 1
-    orders = []
-    for v in tails:
-        O, R = list(bits(out[v])), list(bits(everyone ^ out[v] ^ 1 << v))
-        orders += [[v, *O, *R], [*R[::-1], v, *O[::-1]]]
-    for v in heads:
-        I, R = list(bits(into[v])), list(bits(everyone ^ into[v] ^ 1 << v))
-        orders += [[*I, v, *R], [*R[::-1], *I[::-1], v]]
-    columns = []
-    for order in orders:
-        col = [0] * n
-        for w, rank in zip(order, range(n, 0, -1)):
-            col[w] = rank
-        columns.append(col)
-    return Realizer(len(columns), dict(enumerate(zip(*columns))))
+    return star_forest_realizer(D.n, star_forests(D))

@@ -197,14 +197,15 @@ class Climb:
     and the obstruction scan that its deciders share.
 
     The ceiling of a constructive climb is realize_path or realize_cycle
-    when D is a directed path or cycle, else 2 * nu, the dimension of
-    generic_realizer; only nu is computed here, and `_by_ceiling` builds
-    the realizer if the climb reaches that level.  Verifying a ceiling
-    compares all n(n - 1)/2 vertex pairs (and realize_cycle checks its
-    matrix the same way), so a climb is constructive only when that many
-    pairs fit in the budget.  Otherwise, and whenever every level is
-    searched, the ceiling is McGarvey's 2 * #arcs, a bound only, and its
-    level goes to the search.
+    when D is a directed path or cycle, else 2k <= 2 * nu, the dimension
+    of generic_realizer, for the k star forests of D's arcs.  The
+    forests are packed here, once, and `_by_ceiling` builds their voters
+    if the climb reaches that level.  Verifying a ceiling compares all
+    n(n - 1)/2 vertex pairs (and realize_cycle checks its matrix the
+    same way), so a climb is constructive only when that many pairs fit
+    in the budget.  Otherwise, and whenever every level is searched, the
+    ceiling is McGarvey's 2 * #arcs, a bound only, and its level goes to
+    the search.
     """
 
     def __init__(self, D: Digraph, budget: int, rules: bool):
@@ -212,10 +213,12 @@ class Climb:
         self.budget = budget
         self.constructive = rules and D.n * (D.n - 1) // 2 <= budget
         self.family = _family_ceiling(D) if self.constructive else None
+        self.forests = None
         if self.family is not None:
             self.ceiling = self.family.d
         elif self.constructive:
-            self.ceiling = 2 * sum(map(len, constructions.arc_cover(D)))
+            self.forests = constructions.star_forests(D)
+            self.ceiling = 2 * len(self.forests)
         else:
             self.ceiling = 2 * len(D.arcs)
         self.scan: tuple[Obstruction | None, int] | None = None
@@ -275,7 +278,10 @@ def _by_ceiling(climb: Climb, d: int) -> SolveOutcome | None:
     if d != climb.ceiling or not climb.constructive:
         return None
     D = climb.D
-    witness = constructions.generic_realizer(D) if climb.family is None else climb.family
+    if climb.family is None:
+        witness = constructions.star_forest_realizer(D.n, climb.forests)
+    else:
+        witness = climb.family
     return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "ceiling"), 0, "ceiling")
 
 

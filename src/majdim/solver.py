@@ -192,9 +192,10 @@ class DimensionResult:
     When `dimension` is set, lower == upper == dimension.  Otherwise the
     value lies in [lower, upper]; upper is the ceiling, the dimension of
     the cheapest construction: a directed path's or cycle's own realizer,
-    else generic_realizer's 2 * nu, nu the size of a maximum matching of
-    the arcs.  It is McGarvey's 2 * #arcs when every level is searched or
-    the budget cannot cover verifying a ceiling (`deciders.Climb`).
+    else generic_realizer's 2k, two voters for each of the k star forests
+    that its arcs are packed into, k <= nu, the size of a maximum matching
+    of the arcs.  It is McGarvey's 2 * #arcs when every level is searched
+    or the budget cannot cover verifying a ceiling (`deciders.Climb`).
     """
 
     dimension: int | None
@@ -562,8 +563,9 @@ def dimension(
     transitivity (d <= 2), an induced obstruction, the ceiling and the
     complete search, each proved in its docstring in `deciders`.  The
     ceiling is a verified realize_path/realize_cycle when D is a directed
-    path or cycle, else generic_realizer's 2 * nu <= 2n, and it caps the
-    climb together with max_d (`deciders.Climb` says when it is built).
+    path or cycle, else generic_realizer's 2k <= 2 * nu <= 2n for the k
+    star forests of its arcs, and it caps the climb together with max_d
+    (`deciders.Climb` says when it is built).
     With shortcuts=False every level is searched, up to 2 * #arcs.  The
     first budget-exhausted level stops the climb and yields bounds
     instead of a value, never an unproven claim.

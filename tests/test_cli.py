@@ -458,10 +458,12 @@ _S41_CLIMB = {
         + '{"d": 2, "verdict": "budget_exceeded", "nodes": 0, "reason": "search"}]}\n'),
     5: (1, '{"unknown": {"lower": 2, "upper": 24}, "per_d": [' + _S41_HEAD
         + '{"d": 2, "verdict": "budget_exceeded", "nodes": 5, "reason": "search"}]}\n'),
-    50: (1, '{"unknown": {"lower": 4, "upper": 8}, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
-         + '{"d": 4, "verdict": "budget_exceeded", "nodes": 50, "reason": "search"}]}\n'),
+    44: (1, '{"unknown": {"lower": 4, "upper": 24}, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
+         + '{"d": 4, "verdict": "budget_exceeded", "nodes": 44, "reason": "search"}]}\n'),
+    50: (0, '{"dimension": 4, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
+         + '{"d": 4, "verdict": "realizable", "nodes": 0, "reason": "ceiling"}]}\n'),
     1000: (0, '{"dimension": 4, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
-           + '{"d": 4, "verdict": "realizable", "nodes": 321, "reason": "search"}]}\n'),
+           + '{"d": 4, "verdict": "realizable", "nodes": 0, "reason": "ceiling"}]}\n'),
 }
 
 
@@ -469,10 +471,10 @@ _S41_CLIMB = {
 def test_dim_climb_where_each_search_runs_out_is_pinned(capsys, tmp_path, budget):
     # On subset_family(4, 1) the obstruction scan needs 10 matcher nodes.
     # Budget 5 stops it short, so d = 2 goes to the search, which stops at
-    # 5; budget 50 finds the copy, excluding d = 2 and 3, and the d = 4
-    # search stops at 50; budget 1000 answers 4 after 321 search nodes.
-    # From budget 45 on, its 45 vertex pairs fit, so the climb is
-    # constructive and its upper bound is 2 * nu = 8, not 2 * #arcs = 24.
+    # 5; budget 44 finds the copy, excluding d = 2 and 3, and the d = 4
+    # search stops at 44.  From budget 45 on, its 45 vertex pairs fit, so
+    # the climb is constructive: its ceiling is 2 * #forests = 4, not
+    # 2 * #arcs = 24, and the verified ceiling answers d = 4 unsearched.
     code, text, _ = run(capsys, "gen", "subset-family", "4", "1")
     assert code == 0
     g = write(tmp_path, "s41.txt", text)
@@ -488,15 +490,18 @@ def test_dim_ignores_env_budget(capsys, tmp_path, monkeypatch):
 
 
 def test_dim_beyond_search_space_limit_reports_bounds(capsys, tmp_path):
-    # A transitive matching on 2001 vertices: no rule settles d = 2, whose
-    # space holds 2001^2 > 4,000,000 vectors.
-    matching = build(2001, [(2 * i, 2 * i + 1) for i in range(1000)])
-    g = write(tmp_path, "m2001.txt", to_edge_list(matching))
+    # A matching on 2001 vertices plus a directed two-path on three more:
+    # transitivity excludes d = 2, no rule settles d = 3, whose space
+    # holds 2004^3 > 4,000,000 vectors, and the ceiling is 4.
+    arcs = [(2 * i, 2 * i + 1) for i in range(1000)] + [(2001, 2002), (2002, 2003)]
+    g = write(tmp_path, "m2004.txt", to_edge_list(build(2004, arcs)))
+    start = time.perf_counter()
     code, out, err = run(capsys, "dim", g)
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and err == ""
     payload = json.loads(out)
-    assert payload["unknown"] == {"lower": 2, "upper": 2000}
-    assert payload["per_d"][-1] == {"d": 2, "verdict": "budget_exceeded", "nodes": 0,
+    assert payload["unknown"] == {"lower": 3, "upper": 4}
+    assert payload["per_d"][-1] == {"d": 3, "verdict": "budget_exceeded", "nodes": 0,
                                     "reason": "search"}
 
 

@@ -32,6 +32,7 @@ from majdim import (
     realize_cycle,
     realize_path,
     single_arc,
+    star_forests,
     subset_family,
     verify,
 )
@@ -180,15 +181,26 @@ def test_dimension_budget_exhaustion_reports_bounds():
 
 def test_constructive_climb_bounds_by_twice_matching_number():
     # subset_family(4, 1) has 10 vertices, so at budget 50 its 45 vertex
-    # pairs fit: the climb is constructive, and once the obstruction
-    # excludes d = 2 and 3 the d = 4 search runs out, leaving [4, 2 * nu].
+    # pairs fit: the climb is constructive.  Its 4 stars pack into 2 star
+    # forests, so the ceiling is 4 < 2 * nu = 8; once the obstruction
+    # excludes d = 2 and 3, the verified ceiling answers d = 4 unsearched.
     D = subset_family(4, 1)
-    res = dimension(D, budget=50)
-    assert not res.known and res.lower == 4
-    assert res.upper == 2 * naive_matching_number(D) == 8 < 2 * len(D.arcs)
-    assert res.per_d[-1][1].verdict is Verdict.BUDGET_EXCEEDED
-    # With room to finish, the search answers 4 below that ceiling.
-    assert dimension(D, budget=1000).dimension == 4
+    assert 2 * len(star_forests(D)) == 4 < 2 * naive_matching_number(D) == 8 < 2 * len(D.arcs)
+    for budget in (50, 1000):
+        res = dimension(D, budget=budget)
+        assert res.dimension == 4
+        assert res.per_d[-1][1].reason == "ceiling"
+        assert sum(o.nodes_explored for _, o in res.per_d if o.reason == "search") == 0
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_subset_family_dimension_four_without_search(k):
+    # The subset_family(4, 1) obstruction excludes d = 2 and 3, and the
+    # star-forest ceiling is 4, so no level searches.
+    res = dimension(subset_family(k, 1))
+    assert res.dimension == 4
+    assert [o.reason for _, o in res.per_d][2:] == ["obstruction", "obstruction", "ceiling"]
+    assert all(o.reason != "search" for _, o in res.per_d)
 
 
 @pytest.mark.parametrize("d", [True, 2.0, "2", -1])
@@ -806,11 +818,25 @@ def _matching(n):
 
 
 def test_space_beyond_size_limit_is_a_bounds_verdict():
+    # The matching plus a directed two-path 2001 -> 2002 -> 2003 is
+    # intransitive, which excludes d = 2; the d = 3 space holds
+    # 2004^3 > 4,000,000 vectors, and the ceiling is 4.
+    D = Digraph(2004, _matching(2001).arcs | {(2001, 2002), (2002, 2003)})
     start = time.perf_counter()
-    res = dimension(_matching(2001))
+    res = dimension(D)
     assert time.perf_counter() - start < 1.0
-    assert not res.known and res.lower == 2
-    assert res.per_d[-1][1] == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
+    assert not res.known and (res.lower, res.upper) == (3, 4)
+    assert res.per_d[-1] == (3, SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0))
+
+
+def test_matching_beyond_size_limit_is_two_by_ceiling():
+    # No rule excludes d = 2 on a transitive matching, but its 1000 arcs
+    # form one star forest, so the ceiling answers before the d = 2 space
+    # of 2001^2 vectors would be built.
+    res = dimension(_matching(2001))
+    assert res.dimension == 2
+    assert res.per_d[-1][1].reason == "ceiling"
+    assert res.per_d[-1][1].nodes_explored == 0
 
 
 def test_solver_runs_without_numpy():
