@@ -284,85 +284,64 @@ _BASE_FOUR = (
     (4, 2, 3, 1),
 )
 
-# Cluster layouts for the two-coordinate dominance blocks.  Within a
-# cluster, (vertex, local_x, local_y); a vertex dominates another exactly
-# when it wins both locals.
 
-_SLOT_SPAN = 10
+def _two_voters(n: int, clusters) -> tuple[list[int], list[int]]:
+    """The columns of two voters over the vertices 0..n-1, which the
+    clusters partition; a cluster is a pair of local orders of its
+    vertices, best first, one per voter.
 
-
-def _pair(a: int, b: int):
-    return [(a, 2, 2), (b, 1, 1)]
-
-
-def _chain3(a: int, b: int, c: int):
-    return [(a, 3, 3), (b, 2, 2), (c, 1, 1)]
-
-
-def _linked_pairs(p: int, q: int, r: int, s: int):
-    # p > q and r > s with the extra relation p > s; all other pairs split.
-    return [(p, 3, 6), (q, 1, 4), (r, 6, 3), (s, 2, 2)]
-
-
-def _single(v: int):
-    return [(v, 1, 1)]
-
-
-def _block_columns(clusters, n: int) -> tuple[list[int], list[int]]:
-    """Place clusters along an antidiagonal and return the x and y columns.
-
-    Clusters sit in bands of width _SLOT_SPAN, x increasing and y
-    decreasing with the slot index, so vertices from different clusters
-    always split one coordinate each; within a cluster the local layout
-    decides.
+    The first voter lists the clusters in order and the second in reverse
+    order, each cluster in that voter's local order, and the k-th vertex
+    listed gets n + 1 - k, so each column is a permutation of 1..n.  Two
+    vertices of different clusters are ordered one way by the first voter
+    and the other way by the second: margin 0.  Two vertices of one
+    cluster are ordered by its local orders: +2 to the one first in both,
+    0 when the orders disagree.
     """
-    xs = [0] * (n + 1)  # 1-based vertices
-    ys = [0] * (n + 1)
-    S = len(clusters)
-    for t, cluster in enumerate(clusters):
-        for v, lx, ly in cluster:
-            xs[v] = _SLOT_SPAN * t + lx
-            ys[v] = _SLOT_SPAN * (S - 1 - t) + ly
-    return xs, ys
+    columns = ([0] * n, [0] * n)
+    orders = ([v for x, _ in clusters for v in x], [v for _, y in reversed(clusters) for v in y])
+    for col, order in zip(columns, orders):
+        for v, rank in zip(order, range(n, 0, -1)):
+            col[v] = rank
+    return columns
 
 
-def _first_block_clusters(n: int):
-    # Carries the odd-indexed cycle arcs (1,2), (3,4), ...
-    if n % 2 == 0:
-        return [_pair(2 * t - 1, 2 * t) for t in range(1, n // 2 + 1)]
-    m = (n - 1) // 2
-    clusters = [_single(n), _linked_pairs(1, 2, n - 2, n - 1)]
-    clusters += [_pair(2 * t - 1, 2 * t) for t in range(2, m)]
-    return clusters
-
-
-def _second_block_clusters(n: int):
-    # Carries the even-indexed arcs (2,3), (4,5), ... and the wrap arc.
-    if n % 2 == 0:
-        return [_pair(n, 1)] + [_pair(2 * t, 2 * t + 1) for t in range(1, n // 2)]
-    return [_chain3(n - 1, n, 1)] + [_pair(2 * t, 2 * t + 1) for t in range(1, (n - 1) // 2)]
+def _pairs(start: int, stop: int):
+    """Clusters (i, i + 1) for i = start, start - 2, ... down to stop
+    exclusive, i first in both local orders."""
+    return [([i, i + 1],) * 2 for i in range(start, stop, -2)]
 
 
 def cycle_matrix(n: int) -> CycleMatrix:
-    """Build an n x 4 cycle matrix (n >= 4).
+    """Build an n x 4 cycle matrix (n >= 4); from n = 5 on each column is
+    a permutation of 1..n.
 
-    The cycle's arcs are split into two halves, each a disjoint union of
-    chains over the vertices (for odd n one half needs a 3-chain through
-    the wrap arc and the other compensates its forced extra comparability
-    with a linked-pair cluster).  Each half becomes two coordinate
-    columns via a planar dominance embedding: a vertex beats its chain
-    successor in both of the half's columns and splits every other pair
-    1-1.  Summing the halves gives 3-1 on cycle arcs and 2-2 elsewhere.
-    All five matrix conditions are re-checked on construction.
+    The arcs (i, i + 1 mod n) of the cycle are split into two halves,
+    each carried by two columns from _two_voters.  The first half holds
+    the arcs from even i < n - 1, as clusters (i, i + 1) that both local
+    orders rank i first, so i wins both columns and every other pair
+    splits 1-1.  The second half holds the rest, the odd i and the wrap
+    arc (n - 1, 0), the same way.  For odd n the wrap arc joins the arc
+    from n - 2 in the 3-chain (n - 2, n - 1, 0), which also puts n - 2
+    over 0; the first half compensates with the linked cluster
+    ([n-3, 0, n-2, 1], [0, 1, n-3, n-2]), which carries the arcs (0, 1)
+    and (n - 3, n - 2), puts 0 over n - 2 and splits its other pairs,
+    and vertex n - 1 stands alone.  Summing the halves gives 3-1 on cycle
+    arcs and 2-2 elsewhere.  The clusters are listed so that each column
+    orders the rows as in earlier versions.  All five matrix conditions
+    are re-checked on construction.
     """
     if type(n) is not int or n < 4:
         raise BadParams(f"cycle_matrix({n!r}): need n >= 4")
     if n == 4:
         return CycleMatrix(4, _BASE_FOUR)
-    ax, ay = _block_columns(_first_block_clusters(n), n)
-    bx, by = _block_columns(_second_block_clusters(n), n)
-    entries = tuple((ax[v], ay[v], bx[v], by[v]) for v in range(1, n + 1))
-    return CycleMatrix(n, entries)
+    if n % 2 == 0:
+        first = _pairs(n - 2, -1)
+        second = _pairs(n - 3, 0) + [([n - 1, 0],) * 2]
+    else:
+        first = _pairs(n - 5, 1) + [([n - 3, 0, n - 2, 1], [0, 1, n - 3, n - 2]), ([n - 1],) * 2]
+        second = _pairs(n - 4, 0) + [([n - 2, n - 1, 0],) * 2]
+    return CycleMatrix(n, tuple(zip(*_two_voters(n, first), *_two_voters(n, second))))
 
 
 def realize_cycle(n: int) -> Realizer:
@@ -493,28 +472,21 @@ def star_forest_realizer(n: int, forests: list[list[tuple[int, int, bool]]]) -> 
     forest, whose margin is +2 on each arc of the forests and 0 on every
     other vertex pair (see generic_realizer).
 
-    A voter lists the vertices best first, and the k-th listed gets
-    coordinate n + 1 - k.  Per forest, with L a star's leaves ascending
-    and U the vertices of no star ascending, the first voter lists the
-    stars in the forest's order, an out-star as "c, L" and an in-star as
-    "L, c", then U.  The second lists "rev U", then the stars in reverse
-    order, an out-star as "c, rev L" and an in-star as "rev L, c".
+    Per forest, _two_voters takes the clusters in the forest's order,
+    with L a star's leaves ascending: ([c, *L], [c, *rev L]) for an
+    out-star with center c and ([*L, c], [*rev L, c]) for an in-star,
+    then one singleton cluster per vertex of no star, ascending.
     """
     columns = []
     for forest in forests:
-        first, later, used = [], [], 0
+        clusters, used = [], 0
         for center, leaves, out in forest:
             L = list(bits(leaves))
             used |= leaves | 1 << center
-            first += [center, *L] if out else [*L, center]
-            later.append([center, *L[::-1]] if out else [*L[::-1], center])
-        rest = list(bits(((1 << n) - 1) & ~used))
-        second = rest[::-1] + [w for star in reversed(later) for w in star]
-        for order in (first + rest, second):
-            col = [0] * n
-            for w, rank in zip(order, range(n, 0, -1)):
-                col[w] = rank
-            columns.append(col)
+            clusters.append(([center, *L], [center, *L[::-1]]) if out
+                            else ([*L, center], [*L[::-1], center]))
+        clusters += [([w],) * 2 for w in bits(((1 << n) - 1) & ~used)]
+        columns += _two_voters(n, clusters)
     return Realizer(len(columns), dict(enumerate(zip(*columns) if columns else [()] * n)))
 
 
@@ -526,18 +498,14 @@ def generic_realizer(D: Digraph) -> Realizer:
     Two voters per star forest (star_forest_realizer), in the spirit of
     Stearns ("The voting problem", 1959) and of star arboricity
     (Alon-McDiarmid-Reed, 1992).  Margins add up pair by pair.  In one
-    forest's pair, the center of an out-star precedes its leaves in both
-    voters, +2 on each of its arcs, and the leaves of an in-star precede
-    their center in both, +2 again.  Every other vertex pair is ordered
-    one way by one voter and the other way by the other, 0: two leaves
-    of one star, whose order the second voter reverses; two vertices of
-    different stars, whose stars it reverses; a star's vertex against
-    one of no star, which the first voter puts last and the second
-    first; and two vertices of no star.  The stars are vertex-disjoint,
-    so these cases are all the pairs.  Every arc lies in exactly one
-    star of one forest, so summed over the forests it gets +2 and every
-    other pair 0: u beats v exactly when (u, v) is an arc.  McGarvey's
-    two voters per arc (1953) are the fold of add_arc_realizer over the
-    sorted arcs.
+    forest's pair each star is a cluster of _two_voters: the center of an
+    out-star precedes its leaves in both local orders, +2 on each of its
+    arcs, and the leaves of an in-star precede their center in both, +2
+    again, while the second order reverses the first on two leaves of one
+    star, 0.  Every other vertex pair spans two clusters, 0.  Every arc
+    lies in exactly one star of one forest, so summed over the forests
+    it gets +2 and every other pair 0: u beats v exactly when (u, v) is
+    an arc.  McGarvey's two voters per arc (1953) are the fold of
+    add_arc_realizer over the sorted arcs.
     """
     return star_forest_realizer(D.n, star_forests(D))

@@ -176,7 +176,9 @@ def random_digraph(rng, n):
 def naive_matching_number(D):
     """nu: the most arcs of D with no two sharing a tail or a head, by
     Kuhn's augmenting paths over the arc list."""
-    heads_of = {u: [v for a, v in sorted(D.arcs) if a == u] for u in range(D.n)}
+    heads_of = {u: [] for u in range(D.n)}
+    for u, v in sorted(D.arcs):
+        heads_of[u].append(v)
     mate = {}  # head -> its tail
 
     def augment(u, seen):

@@ -44,6 +44,7 @@ from majdim import (
     union_realizer,
     verify,
 )
+from majdim.constructions import _two_voters
 from helpers import (
     all_labeled_digraphs,
     cycle_matrix_failures,
@@ -395,6 +396,46 @@ def test_cycle_matrix_conditions_independent_checker(n):
     assert cycle_matrix_failures(n, cm.entries) == []
 
 
+def test_cycle_matrix_goldens():
+    # 5 and 7 take the odd layout, 7 the first with a pair cluster in its
+    # first block; 6 takes the even one.
+    assert cycle_matrix(5).entries == (
+        (4, 4, 1, 3), (2, 3, 5, 2), (5, 2, 4, 1), (3, 1, 3, 5), (1, 5, 2, 4))
+    assert cycle_matrix(6).entries == (
+        (2, 6, 1, 5), (1, 5, 4, 4), (4, 4, 3, 3), (3, 3, 6, 2), (6, 2, 5, 1), (5, 1, 2, 6))
+    assert cycle_matrix(7).entries == (
+        (4, 6, 1, 5), (2, 5, 5, 4), (7, 2, 4, 3), (6, 1, 7, 2), (5, 4, 6, 1), (3, 3, 3, 7),
+        (1, 7, 2, 6))
+
+
+def test_cycle_matrix_columns_are_ranks():
+    for n in range(5, 65):
+        entries = cycle_matrix(n).entries
+        for k in range(4):
+            assert sorted(row[k] for row in entries) == list(range(1, n + 1))
+
+
+def test_two_voters_split_clusters_and_follow_local_orders():
+    # Random partitions of 0..n-1 into clusters with random local orders:
+    # a pair from two clusters has margin 0, and a pair inside one cluster
+    # gets +1 or -1 from each local order.
+    rng = random.Random(1959)
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        vertices = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(0, n)))
+        parts = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        clusters = [(part, rng.sample(part, len(part))) for part in parts]
+        xs, ys = _two_voters(n, clusters)
+        assert sorted(xs) == sorted(ys) == list(range(1, n + 1))
+        where = {v: (t, x.index(v), y.index(v)) for t, (x, y) in enumerate(clusters) for v in x}
+        for u in range(n):
+            for v in range(n):
+                (s, xu, yu), (t, xv, yv) = where[u], where[v]
+                want = 0 if s != t else (xu < xv) - (xu > xv) + (yu < yv) - (yu > yv)
+                assert margin((xs[u], ys[u]), (xs[v], ys[v])) == want
+
+
 def test_realize_cycle_goldens():
     f = realize_cycle(3)
     assert f.vectors == {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 3, 1)}
@@ -460,6 +501,25 @@ def test_generic_realizer_dimension_is_twice_arc_count():
         f = _mcgarvey_fold(D)
         assert f.d == (2 * len(D.arcs) if D.arcs else 0)
         assert verify(D, f).valid
+
+
+# sha256 of the JSON of generic_realizer over 400 seeded digraphs, half
+# of them thinned to sparse ones, one line each; the witness bytes of
+# `realize generic` must not change.
+GENERIC_DIGEST = "bf4373f82e72e7fcbfdb86950a4fed3f9b7921c2c07dcbe34e41526001e8b849"
+
+
+def test_generic_realizer_output_digest():
+    rng = random.Random(3918)
+    h = hashlib.sha256()
+    for _ in range(400):
+        D = random_digraph(rng, rng.randrange(0, 17))
+        if rng.random() < 0.5:
+            D = build(D.n, [a for a in D.sorted_arcs() if rng.random() < 0.3])
+        f = generic_realizer(D)
+        assert verify(D, f).valid
+        h.update(realizer_to_json(f).encode() + b"\n")
+    assert h.hexdigest() == GENERIC_DIGEST
 
 
 def _check_cover_realizer(D):
@@ -531,7 +591,7 @@ def test_generic_realizer_on_a_random_tournament_beats_twice_its_vertex_count():
     D = build(300, [(u, v) if rng.random() < 0.5 else (v, u)
                     for u in range(300) for v in range(u + 1, 300)])
     f = generic_realizer(D)
-    assert sum(map(len, arc_cover(D))) == 300
+    assert sum(map(len, arc_cover(D))) == naive_matching_number(D) == 300
     assert f.d == 350 and verify(D, f).valid
 
 
