@@ -312,9 +312,9 @@ def _pairs(start: int, stop: int):
     return [([i, i + 1],) * 2 for i in range(start, stop, -2)]
 
 
-def cycle_matrix(n: int) -> CycleMatrix:
-    """Build an n x 4 cycle matrix (n >= 4); from n = 5 on each column is
-    a permutation of 1..n.
+def _cycle_rows(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The rows of the n x 4 cycle matrix for n >= 5; each column is a
+    permutation of 1..n.
 
     The arcs (i, i + 1 mod n) of the cycle are split into two halves,
     each carried by two columns from _two_voters.  The first half holds
@@ -328,20 +328,25 @@ def cycle_matrix(n: int) -> CycleMatrix:
     and (n - 3, n - 2), puts 0 over n - 2 and splits its other pairs,
     and vertex n - 1 stands alone.  Summing the halves gives 3-1 on cycle
     arcs and 2-2 elsewhere.  The clusters are listed so that each column
-    orders the rows as in earlier versions.  All five matrix conditions
-    are re-checked on construction.
+    orders the rows as in earlier versions.
     """
-    if type(n) is not int or n < 4:
-        raise BadParams(f"cycle_matrix({n!r}): need n >= 4")
-    if n == 4:
-        return CycleMatrix(4, _BASE_FOUR)
     if n % 2 == 0:
         first = _pairs(n - 2, -1)
         second = _pairs(n - 3, 0) + [([n - 1, 0],) * 2]
     else:
         first = _pairs(n - 5, 1) + [([n - 3, 0, n - 2, 1], [0, 1, n - 3, n - 2]), ([n - 1],) * 2]
         second = _pairs(n - 4, 0) + [([n - 2, n - 1, 0],) * 2]
-    return CycleMatrix(n, tuple(zip(*_two_voters(n, first), *_two_voters(n, second))))
+    return tuple(zip(*_two_voters(n, first), *_two_voters(n, second)))
+
+
+def cycle_matrix(n: int) -> CycleMatrix:
+    """Build an n x 4 cycle matrix (n >= 4): _BASE_FOUR for n = 4, else
+    `_cycle_rows`.  All five matrix conditions are re-checked on
+    construction.
+    """
+    if type(n) is not int or n < 4:
+        raise BadParams(f"cycle_matrix({n!r}): need n >= 4")
+    return CycleMatrix(n, _BASE_FOUR if n == 4 else _cycle_rows(n))
 
 
 def realize_cycle(n: int) -> Realizer:
@@ -351,7 +356,9 @@ def realize_cycle(n: int) -> Realizer:
     The 3- and 4-cycle vectors are fixed, the latter the exact search's
     witness.  For n >= 5 vertex i takes row i of the cycle matrix:
     consecutive rows win 3-1 (margin +2) and distant rows split 2-2
-    (margin 0).
+    (margin 0).  The rows come from `_cycle_rows` directly, without
+    `cycle_matrix`'s O(n^2) re-check, so a caller that verifies the
+    realizer compares each pair once.
     """
     if type(n) is not int or n < 3:
         raise BadParams(f"realize_cycle({n!r}): need n >= 3")
@@ -359,8 +366,7 @@ def realize_cycle(n: int) -> Realizer:
         return Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 3, 1)})
     if n == 4:
         return Realizer(3, {0: (1, 2, 3), 1: (4, 1, 2), 2: (3, 2, 1), 3: (2, 1, 4)})
-    matrix = cycle_matrix(n)
-    return Realizer(4, {i: matrix.entries[i] for i in range(n)})
+    return Realizer(4, dict(enumerate(_cycle_rows(n))))
 
 
 def arc_cover(D: Digraph) -> tuple[list[int], list[int]]:

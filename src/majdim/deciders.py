@@ -11,7 +11,7 @@ that asks for no dimension never does.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import constructions
 from .digraph import (
@@ -170,58 +170,56 @@ def _family_ceiling(D: Digraph) -> Realizer | None:
     """realize_path or realize_cycle moved onto D's labels when D is a
     directed path or cycle with at least one arc, else None.
 
-    With every in- and out-degree at most 1, the walk along out-arcs from a
-    vertex without in-arcs (or from vertex 0 when there is none, and so
-    every vertex has exactly one) revisits no vertex but its start; D is a
-    path or a cycle exactly when that walk meets all n vertices.
+    With every in- and out-degree at most 1 (distinct tails and distinct
+    heads), the walk along out-arcs from a vertex without in-arcs (or from
+    vertex 0 when there is none, and so every vertex has exactly one)
+    revisits no vertex but its start; D is a path or a cycle exactly when
+    that walk meets all n vertices.  The checks read the arc set, not the
+    n-bit neighbour rows, so they take O(n) steps.
     """
-    n, out, into = D.n, D.out, D.into
-    if not D.arcs or len(D.arcs) not in (n - 1, n) or any(r & (r - 1) for r in out + into):
+    n, arcs = D.n, D.arcs
+    succ = dict(arcs)
+    heads = set(succ.values())
+    if not arcs or len(arcs) not in (n - 1, n) or not (len(succ) == len(heads) == len(arcs)):
         return None
-    start = v = next((u for u in range(n) if not into[u]), 0)
-    order = []
-    while True:
+    start = v = next((u for u in range(n) if u not in heads), 0)
+    order = [start]
+    while (v := succ.get(v, start)) != start:
         order.append(v)
-        if not out[v] or (v := out[v].bit_length() - 1) == start:
-            break
     if len(order) != n:
         return None
-    family = constructions.realize_cycle if len(D.arcs) == n else constructions.realize_path
+    family = constructions.realize_cycle if len(arcs) == n else constructions.realize_path
     f = family(n)
-    vecs = f.vertex_vectors(n)
-    return Realizer(f.d, {v: vecs[t] for t, v in enumerate(order)})
+    return Realizer(f.d, {v: f.vectors[t] for t, v in enumerate(order)})
 
 
 class Climb:
     """The digraph and budget of one `dimension` call, with the ceiling
     and the obstruction scan that its deciders share.
 
-    The ceiling of a constructive climb is realize_path or realize_cycle
-    when D is a directed path or cycle, else 2k <= 2 * nu, the dimension
-    of generic_realizer, for the k star forests of D's arcs.  The
-    forests are packed here, once, and `_by_ceiling` builds their voters
-    if the climb reaches that level.  Verifying a ceiling compares all
-    n(n - 1)/2 vertex pairs (and realize_cycle checks its matrix the
-    same way), so a climb is constructive only when that many pairs fit
-    in the budget.  Otherwise, and whenever every level is searched, the
-    ceiling is McGarvey's 2 * #arcs, a bound only, and its level goes to
-    the search.
+    The ceiling is realize_path or realize_cycle when D is a directed path
+    or cycle, else 2k <= 2 * nu, the dimension of generic_realizer, for
+    the k star forests of D's arcs.  It is built on first read, by
+    `_by_ceiling` or by the upper bound of an unknown result, so a climb
+    that reads neither, such as a sweep's, packs no forests.
     """
 
-    def __init__(self, D: Digraph, budget: int, rules: bool):
+    def __init__(self, D: Digraph, budget: int):
         self.D = D
         self.budget = budget
-        self.constructive = rules and D.n * (D.n - 1) // 2 <= budget
-        self.family = _family_ceiling(D) if self.constructive else None
-        self.forests = None
-        if self.family is not None:
-            self.ceiling = self.family.d
-        elif self.constructive:
-            self.forests = constructions.star_forests(D)
-            self.ceiling = 2 * len(self.forests)
-        else:
-            self.ceiling = 2 * len(D.arcs)
         self.scan: tuple[Obstruction | None, int] | None = None
+
+    @cached_property
+    def family(self) -> Realizer | None:
+        return _family_ceiling(self.D)
+
+    @cached_property
+    def forests(self) -> list[list[tuple[int, int, bool]]]:
+        return constructions.star_forests(self.D)
+
+    @property
+    def ceiling(self) -> int:
+        return self.family.d if self.family is not None else 2 * len(self.forests)
 
 
 def _by_emptiness(climb: Climb, d: int) -> SolveOutcome | None:
@@ -274,14 +272,14 @@ def _by_obstruction(climb: Climb, d: int) -> SolveOutcome | None:
 
 def _by_ceiling(climb: Climb, d: int) -> SolveOutcome | None:
     """d = the ceiling: the climb reaches it only when every level below
-    was excluded, and its construction is verified here."""
-    if d != climb.ceiling or not climb.constructive:
-        return None
+    was excluded, and its construction is verified here.  Verifying
+    compares all n(n - 1)/2 vertex pairs, so the rule answers only when
+    that many fit in the budget, and otherwise leaves the level to the
+    search."""
     D = climb.D
-    if climb.family is None:
-        witness = constructions.star_forest_realizer(D.n, climb.forests)
-    else:
-        witness = climb.family
+    if D.n * (D.n - 1) // 2 > climb.budget or d != climb.ceiling:
+        return None
+    witness = climb.family or constructions.star_forest_realizer(D.n, climb.forests)
     return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "ceiling"), 0, "ceiling")
 
 

@@ -194,8 +194,7 @@ class DimensionResult:
     the cheapest construction: a directed path's or cycle's own realizer,
     else generic_realizer's 2k, two voters for each of the k star forests
     that its arcs are packed into, k <= nu, the size of a maximum matching
-    of the arcs.  It is McGarvey's 2 * #arcs when every level is searched
-    or the budget cannot cover verifying a ceiling (`deciders.Climb`).
+    of the arcs (`deciders.Climb`).
     """
 
     dimension: int | None
@@ -561,14 +560,17 @@ def dimension(
     Each level goes to the deciders in turn, and the first that answers
     settles it: emptiness (d = 0), the condensed tournament (d = 1),
     transitivity (d <= 2), an induced obstruction, the ceiling and the
-    complete search, each proved in its docstring in `deciders`.  The
-    ceiling is a verified realize_path/realize_cycle when D is a directed
-    path or cycle, else generic_realizer's 2k <= 2 * nu <= 2n for the k
-    star forests of its arcs, and it caps the climb together with max_d
-    (`deciders.Climb` says when it is built).
-    With shortcuts=False every level is searched, up to 2 * #arcs.  The
-    first budget-exhausted level stops the climb and yields bounds
-    instead of a value, never an unproven claim.
+    complete search, each proved in its docstring in `deciders`.  With
+    shortcuts=False every level is searched.  The first budget-exhausted
+    level stops the climb and yields bounds instead of a value, never an
+    unproven claim; the upper bound is the ceiling, built only then.
+
+    The climb ends at its first REALIZABLE or BUDGET_EXCEEDED level, or
+    after max_d.  It ends by the ceiling level at the latest: every
+    decider's NOT_REALIZABLE is proved, and a construction realizes D at
+    the ceiling, so no level from there on is excluded.  There the ceiling
+    rule or the complete search answers REALIZABLE, or the search runs out
+    of nodes or finds n^d past _SPACE_SIZE_LIMIT: BUDGET_EXCEEDED.
     """
     # Loaded on first use: outside the search's orbit scan nothing else in
     # the package needs the matcher, the obstruction table or the rules.
@@ -577,11 +579,10 @@ def dimension(
     if max_d is not None:
         _check_count("max_d", max_d)
     _check_count("budget", budget)
-    climb = deciders.Climb(D, budget, shortcuts)
+    climb = deciders.Climb(D, budget)
     rules = deciders.DECIDERS if shortcuts else deciders.SEARCH_ONLY
-    top = climb.ceiling if max_d is None else min(max_d, climb.ceiling)
     per_d: list[tuple[int, SolveOutcome]] = []
-    for d in range(top + 1):
+    for d in itertools.count() if max_d is None else range(max_d + 1):
         for decide in rules:
             outcome = decide(climb, d)
             if outcome is not None:
@@ -591,7 +592,7 @@ def dimension(
             return DimensionResult(d, d, d, tuple(per_d))
         if outcome.verdict is Verdict.BUDGET_EXCEEDED:
             return DimensionResult(None, d, climb.ceiling, tuple(per_d))
-    return DimensionResult(None, top + 1, climb.ceiling, tuple(per_d))
+    return DimensionResult(None, max_d + 1, climb.ceiling, tuple(per_d))
 
 
 def _point(p) -> tuple[int, int]:

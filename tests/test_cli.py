@@ -31,7 +31,7 @@ from majdim import (
     to_edge_list,
     verify,
 )
-from majdim import cli, solver
+from majdim import cli, constructions, realizer, solver
 from majdim.cli import _sweep_row, _sweep_rows, main
 
 from helpers import all_labeled_digraphs, brute_canonical_code
@@ -454,11 +454,11 @@ _S41_OBSTRUCTED = ''.join(
     '"obstruction": "subset_family(4, 1)", "vertices": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]}, '
     for d, nodes in ((2, 10), (3, 0)))
 _S41_CLIMB = {
-    0: (1, '{"unknown": {"lower": 2, "upper": 24}, "per_d": [' + _S41_HEAD
+    0: (1, '{"unknown": {"lower": 2, "upper": 4}, "per_d": [' + _S41_HEAD
         + '{"d": 2, "verdict": "budget_exceeded", "nodes": 0, "reason": "search"}]}\n'),
-    5: (1, '{"unknown": {"lower": 2, "upper": 24}, "per_d": [' + _S41_HEAD
+    5: (1, '{"unknown": {"lower": 2, "upper": 4}, "per_d": [' + _S41_HEAD
         + '{"d": 2, "verdict": "budget_exceeded", "nodes": 5, "reason": "search"}]}\n'),
-    44: (1, '{"unknown": {"lower": 4, "upper": 24}, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
+    44: (1, '{"unknown": {"lower": 4, "upper": 4}, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
          + '{"d": 4, "verdict": "budget_exceeded", "nodes": 44, "reason": "search"}]}\n'),
     50: (0, '{"dimension": 4, "per_d": [' + _S41_HEAD + _S41_OBSTRUCTED
          + '{"d": 4, "verdict": "realizable", "nodes": 0, "reason": "ceiling"}]}\n'),
@@ -472,13 +472,66 @@ def test_dim_climb_where_each_search_runs_out_is_pinned(capsys, tmp_path, budget
     # On subset_family(4, 1) the obstruction scan needs 10 matcher nodes.
     # Budget 5 stops it short, so d = 2 goes to the search, which stops at
     # 5; budget 44 finds the copy, excluding d = 2 and 3, and the d = 4
-    # search stops at 44.  From budget 45 on, its 45 vertex pairs fit, so
-    # the climb is constructive: its ceiling is 2 * #forests = 4, not
-    # 2 * #arcs = 24, and the verified ceiling answers d = 4 unsearched.
+    # search stops at 44.  At every budget the upper bound is the ceiling,
+    # 2 * #forests = 4.  From budget 45 on, its 45 vertex pairs fit, so
+    # the verified ceiling answers d = 4 unsearched.
     code, text, _ = run(capsys, "gen", "subset-family", "4", "1")
     assert code == 0
     g = write(tmp_path, "s41.txt", text)
     assert run(capsys, "dim", g, "--budget", str(budget)) == (*_S41_CLIMB[budget], "")
+
+
+@pytest.mark.parametrize("family", ["cycle", "path"])
+def test_dim_on_a_long_path_or_cycle_is_bounded_by_its_ceiling(capsys, tmp_path, family):
+    # 20000 vertices have too many pairs to verify within the default
+    # budget, so the ceiling rule passes, yet the family's width is still
+    # the upper bound.  The d = 4 space of 20000^4 vectors is never built.
+    code, text, _ = run(capsys, "gen", family, "20000")
+    assert code == 0
+    g = write(tmp_path, "g.txt", text)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "dim", g)
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(out)
+    assert code == 1 and payload["unknown"] == {"lower": 4, "upper": 4}
+    assert payload["per_d"][-1] == {"d": 4, "verdict": "budget_exceeded", "nodes": 0,
+                                    "reason": "search"}
+
+
+def test_sweeps_pack_no_star_forests(capsys, monkeypatch):
+    # A sweep searches every level and reads the ceiling only as the upper
+    # bound of a row the search leaves unknown, so a full sweep packs none.
+    calls = []
+    real = constructions.star_forests
+
+    def counting(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(constructions, "star_forests", counting)
+    for argv in (["sweep", "4"], ["sweep", "4", "--dedup"]):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    assert run(capsys, "sweep", "3", "--budget", "3")[0] == 0
+    assert calls
+
+
+def test_realize_cycle_verifies_once(capsys, monkeypatch):
+    # realize_cycle takes the matrix rows without cycle_matrix's re-check,
+    # so the command's own check of its witness is the only full verify.
+    sizes = []
+    real = realizer.verify
+
+    def counting(D, f):
+        sizes.append(D.n)
+        return real(D, f)
+
+    for module in (realizer, constructions, cli):
+        monkeypatch.setattr(module, "verify", counting)
+    assert run(capsys, "realize", "cycle", "600")[0] == 0
+    assert sizes == [600]
+    constructions.cycle_matrix(600)
+    assert sizes == [600, 600]
 
 
 def test_dim_ignores_env_budget(capsys, tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from majdim import (
     empty,
     es_chain_or_antichain,
     extend_dims,
+    generic_realizer,
     induced,
     is_realizable,
     path,
@@ -42,6 +43,7 @@ from majdim.deciders import _obstructions, induced_copy
 from majdim.solver import _first_orbit, _plan, _Space, _space_for
 from helpers import (
     all_labeled_digraphs,
+    brute_canonical_code,
     brute_orbit,
     cyclic_tournament,
     naive_induced_two_paths,
@@ -169,19 +171,20 @@ def test_orbit_matcher_running_out_is_not_the_search_running_out(monkeypatch):
 
 def test_dimension_budget_exhaustion_reports_bounds():
     # No rule settles subset_family(3, 1) at d = 3, and 4 nodes cannot
-    # finish its obstruction scan or its search.
+    # finish its obstruction scan or its search.  Its 15 vertex pairs do
+    # not fit either, yet the upper bound is the star-forest ceiling.
     D = subset_family(3, 1)
     res = dimension(D, budget=4)
     assert not res.known
     assert res.dimension is None
     assert res.lower >= 1
-    assert res.upper == 2 * len(D.arcs)
+    assert res.upper == generic_realizer(D).d == 4
     assert res.per_d[-1][1].verdict is Verdict.BUDGET_EXCEEDED
 
 
 def test_constructive_climb_bounds_by_twice_matching_number():
     # subset_family(4, 1) has 10 vertices, so at budget 50 its 45 vertex
-    # pairs fit: the climb is constructive.  Its 4 stars pack into 2 star
+    # pairs fit and the ceiling rule may answer.  Its 4 stars pack into 2 star
     # forests, so the ceiling is 4 < 2 * nu = 8; once the obstruction
     # excludes d = 2 and 3, the verified ceiling answers d = 4 unsearched.
     D = subset_family(4, 1)
@@ -803,13 +806,45 @@ def test_search_does_not_depend_on_arc_order_or_hash_seed():
         assert out.stdout.splitlines() == expected, seed
 
 
-def test_ceiling_is_built_only_when_its_pairs_fit_the_budget():
-    # Verifying path(6)'s ceiling compares 15 vertex pairs.
+def test_ceiling_answers_only_when_its_pairs_fit_the_budget():
+    # Verifying path(6)'s ceiling compares 15 vertex pairs.  Below that
+    # the ceiling still bounds the result from above.
     res = dimension(path(6), budget=15)
     assert res.dimension == 4 and res.per_d[-1][1].reason == "ceiling"
     res = dimension(path(6), budget=14)
-    assert not res.known and (res.lower, res.upper) == (4, 10)
+    assert not res.known and (res.lower, res.upper) == (4, realize_path(6).d)
     assert res.per_d[-1][1] == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 14)
+
+
+def _construction_width(D):
+    """realize_path's or realize_cycle's width when D is a relabeled
+    directed path or cycle, else generic_realizer's."""
+    if D.arcs:
+        families = [(path(D.n), realize_path)]
+        if D.n >= 3:
+            families.append((cycle(D.n), realize_cycle))
+        for F, realize in families:
+            if len(D.arcs) == len(F.arcs) and brute_canonical_code(D) == brute_canonical_code(F):
+                return realize(D.n).d
+    return generic_realizer(D).d
+
+
+def test_every_unknown_result_is_bounded_by_the_construction():
+    # Whether or not a ceiling's pairs fit the budget, and whether or not
+    # every level is searched, the upper bound is the construction's width.
+    rng = random.Random(26)
+    cases = [D for n in range(5) for D in all_labeled_digraphs(n)]
+    cases += [random_digraph(rng, rng.randrange(5, 8)) for _ in range(300)]
+    unknown = 0
+    for D in cases:
+        width = _construction_width(D)
+        for budget in (0, 5, 200):
+            for shortcuts in (True, False):
+                res = dimension(D, budget=budget, shortcuts=shortcuts)
+                if not res.known:
+                    unknown += 1
+                    assert res.lower <= res.upper == width, (sorted(D.arcs), budget, shortcuts)
+    assert unknown > len(cases)
 
 
 def _matching(n):
