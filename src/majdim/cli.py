@@ -11,12 +11,15 @@ invariant breach: a failed self-check (`realizer.SelfCheckFailed`) in
 
 `main` registers only the subparser of the command that argv[0] names
 (every command for anything else: no argv, -h, an unknown word), because
-building all eight takes about 1 ms, as long as a small `dim` job.
+building all eight takes about 1 ms, as long as a small `dim` job, and one
+about 0.2 ms.  Each parser is built once per process and reused by every
+later `main` call, such as the many calls of a test run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -276,9 +279,10 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
     p's image, so an image code is a sum over the arcs.  Above the code
     bits the same entry adds bit n^2 - 1 - (a * n + b) of an arc-order key
     for the image arc (a, b).  The first state of a class to come up is the
-    only one searched, and the flat list class_of gives all its image codes
-    the class's index.  So the walk keeps one index per state, one row per
-    class and 3C entries per relabeling, not the images themselves.
+    only one that may be searched (its converse's row may serve, below),
+    and the flat list class_of gives all its image codes the class's
+    index.  So the walk keeps one index per state, one row per class and
+    3C entries per relabeling, not the images themselves.
 
     Every field of a row except `digraph_code` is an isomorphism invariant
     (relabeling the vertices of a realizer realizes the relabeled digraph,
@@ -292,12 +296,34 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
     symmetric difference, and that arc is the highest key bit they do not
     share.
 
+    A new class is searched only when the class of its converse D^T (every
+    arc reversed) did not come before it with a settled row; if it did, the
+    new class takes that row under its own code.  The converse's code is
+    D's with digits 1 and 2 swapped, the sum of add[v, u] over D's arcs
+    (u, v), and it is looked up before D's images are registered, so a
+    self-converse class finds no earlier class.  Every field but the code
+    is the same for D and D^T:
+    - margin(-x, -y) = margin(y, x), so f realizes D exactly when -f
+      realizes D^T, and the two have the same dimension; a settled row has
+      lower = upper = dimension.
+    - D^T is transitive exactly when D is.
+    - x -> y -> z is an induced two-path of D exactly when z -> y -> x is
+      one of D^T.
+    - Reversal swaps out- and in-neighbourhoods, so D and D^T have the
+      same homogeneous classes, the condensation of D^T is the converse of
+      D's, and the converse of a nonempty acyclic tournament is one too.
+    - n and the arc count do not change.
+
     Node counts do depend on the labeling, so under a budget too small to
     finish a level every member reports its first member's bounds: the
-    rows of isomorphic digraphs are equal, as dedup assumes.
+    rows of isomorphic digraphs are equal, as dedup assumes.  An unknown
+    row is never copied to the converse class, which searches for itself;
+    a class whose converse's row was settled reports it even where its own
+    search would have run out.
     """
     pairs = list(itertools.combinations(range(n), 2))
     shift = (3 ** len(pairs)).bit_length()
+    low = (1 << shift) - 1  # the code bits of an image
     place = {pair: 3**j for j, pair in enumerate(reversed(pairs))}
     top = shift + n * n - 1  # the key bit of arc (0, 0)
     # add[a, b]: the image arc (a, b)'s digit at its pair's place, plus its key bit
@@ -315,13 +341,18 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
         if k >= 0:
             yield SweepRow(_arc_code(arcs), *rows[k][1:])
             continue
+        mirror = class_of[sum(add[v, u] for u, v in arcs) & low]
         entries = [3 * j + s for j, s in enumerate(states) if s]
         images = [sum(map(table.__getitem__, entries)) for table in tables]
         for image in images:
-            class_of[image & (1 << shift) - 1] = len(rows)
+            class_of[image & low] = len(rows)
         key = max(images) >> shift
         least = [divmod(i, n) for i in range(n * n) if key >> n * n - 1 - i & 1]
-        rows.append(_sweep_row(build(n, arcs), _arc_code(least if dedup else arcs), budget, max_d))
+        own = _arc_code(least if dedup else arcs)
+        if mirror >= 0 and rows[mirror].dimension is not None:
+            rows.append(SweepRow(own, *rows[mirror][1:]))
+        else:
+            rows.append(_sweep_row(build(n, arcs), own, budget, max_d))
         yield rows[-1]
 
 
@@ -416,6 +447,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The majdim parser with every command, or with the named one alone.
 

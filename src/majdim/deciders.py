@@ -166,9 +166,10 @@ def _find_obstruction(D: Digraph, budget: int, above: int) -> tuple[Obstruction 
     return None, spent
 
 
-def _family_ceiling(D: Digraph) -> Realizer | None:
-    """realize_path or realize_cycle moved onto D's labels when D is a
-    directed path or cycle with at least one arc, else None.
+def _family_ceiling(D: Digraph) -> tuple[Realizer, list[int]] | None:
+    """realize_path or realize_cycle, with D's vertices in the order that
+    takes its vectors 0, 1, ..., when D is a directed path or cycle with at
+    least one arc, else None.
 
     With every in- and out-degree at most 1 (distinct tails and distinct
     heads), the walk along out-arcs from a vertex without in-arcs (or from
@@ -189,8 +190,7 @@ def _family_ceiling(D: Digraph) -> Realizer | None:
     if len(order) != n:
         return None
     family = constructions.realize_cycle if len(arcs) == n else constructions.realize_path
-    f = family(n)
-    return Realizer(f.d, {v: f.vectors[t] for t, v in enumerate(order)})
+    return family(n), order
 
 
 class Climb:
@@ -201,7 +201,8 @@ class Climb:
     or cycle, else 2k <= 2 * nu, the dimension of generic_realizer, for
     the k star forests of D's arcs.  It is built on first read, by
     `_by_ceiling` or by the upper bound of an unknown result, so a climb
-    that reads neither, such as a sweep's, packs no forests.
+    that reads neither, such as a sweep's, packs no forests.  The family
+    realizer keeps its own labels; only `_by_ceiling` moves it onto D's.
     """
 
     def __init__(self, D: Digraph, budget: int):
@@ -210,7 +211,7 @@ class Climb:
         self.scan: tuple[Obstruction | None, int] | None = None
 
     @cached_property
-    def family(self) -> Realizer | None:
+    def family(self) -> tuple[Realizer, list[int]] | None:
         return _family_ceiling(self.D)
 
     @cached_property
@@ -219,7 +220,7 @@ class Climb:
 
     @property
     def ceiling(self) -> int:
-        return self.family.d if self.family is not None else 2 * len(self.forests)
+        return self.family[0].d if self.family is not None else 2 * len(self.forests)
 
 
 def _by_emptiness(climb: Climb, d: int) -> SolveOutcome | None:
@@ -279,7 +280,11 @@ def _by_ceiling(climb: Climb, d: int) -> SolveOutcome | None:
     D = climb.D
     if D.n * (D.n - 1) // 2 > climb.budget or d != climb.ceiling:
         return None
-    witness = climb.family or constructions.star_forest_realizer(D.n, climb.forests)
+    if climb.family is None:
+        witness = constructions.star_forest_realizer(D.n, climb.forests)
+    else:
+        f, order = climb.family
+        witness = Realizer(f.d, {v: f.vectors[t] for t, v in enumerate(order)})
     return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "ceiling"), 0, "ceiling")
 
 

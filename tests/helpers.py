@@ -117,6 +117,18 @@ def relabeled(D, perm):
     return build(D.n, [(perm[u], perm[v]) for u, v in D.arcs])
 
 
+def converse(D):
+    """D with every arc reversed."""
+    return build(D.n, [(v, u) for u, v in D.arcs])
+
+
+def converse_class_code(D):
+    """The lesser brute canonical code of D and of its converse: equal for
+    two digraphs exactly when each is isomorphic to the other or to its
+    converse."""
+    return min(brute_canonical_code(D), brute_canonical_code(converse(D)))
+
+
 def naive_is_transitive(D):
     """(x, z) is an arc for every pair of arcs (x, y), (y, z)."""
     return all((x, z) in D.arcs for x, y in D.arcs for y2, z in D.arcs if y2 == y)

@@ -34,7 +34,7 @@ from majdim import (
 from majdim import cli, constructions, realizer, solver
 from majdim.cli import _sweep_row, _sweep_rows, main
 
-from helpers import all_labeled_digraphs, brute_canonical_code
+from helpers import all_labeled_digraphs, brute_canonical_code, converse, converse_class_code
 
 try:
     import resource
@@ -651,8 +651,8 @@ def _from_code(n, code):
     return build(n, [tuple(map(int, arc.split(">"))) for arc in code.split(";") if arc])
 
 
-@pytest.mark.parametrize("n, classes", [(0, 1), (1, 1), (2, 2), (3, 7), (4, 42)])
-def test_sweep_digraphs_match_brute_force(monkeypatch, n, classes):
+def _recorded_rows(monkeypatch, n, dedup):
+    """The rows of one walk, and the (code, digraph) of each `_sweep_row` call."""
     searched = []
 
     def recording_row(D, code, budget, max_d):
@@ -660,21 +660,29 @@ def test_sweep_digraphs_match_brute_force(monkeypatch, n, classes):
         return _sweep_row(D, code, budget, max_d)
 
     monkeypatch.setattr(cli, "_sweep_row", recording_row)
+    return list(_sweep_rows(n, dedup, solver.DEFAULT_BUDGET, None)), searched
+
+
+@pytest.mark.parametrize("n, classes", [(0, 1), (1, 1), (2, 2), (3, 7), (4, 42)])
+def test_sweep_digraphs_match_brute_force(monkeypatch, n, classes):
     labeled = list(all_labeled_digraphs(n))
     first_of_class = {}
+    first_of_pair = {}  # of each class together with its converse class
     for D in labeled:
         first_of_class.setdefault(brute_canonical_code(D), D)
+        first_of_pair.setdefault(converse_class_code(D), D)
     assert len(first_of_class) == classes
 
     # The plain walk reports every labeled digraph under its own code, in
-    # order, but searches only the first member of each class.
-    rows = list(_sweep_rows(n, False, solver.DEFAULT_BUDGET, None))
+    # order, but searches only the first member of each class and its
+    # converse class: every row is settled at the default budget.
+    rows, searched = _recorded_rows(monkeypatch, n, False)
+    assert all(row.dimension is not None for row in rows)
     assert [row.digraph_code for row in rows] == [_code(D) for D in labeled]
-    assert searched == [(_code(D), D) for D in first_of_class.values()]
+    assert searched == [(_code(D), D) for D in first_of_pair.values()]
 
-    searched.clear()
-    rows = list(_sweep_rows(n, True, solver.DEFAULT_BUDGET, None))
-    assert searched == list(first_of_class.items())
+    rows, searched = _recorded_rows(monkeypatch, n, True)
+    assert searched == [(brute_canonical_code(D), D) for D in first_of_pair.values()]
     assert [row.digraph_code for row in rows] == list(first_of_class)
 
 
@@ -697,7 +705,30 @@ def test_sweep_searches_each_isomorphism_class_once(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(solver, "dimension", counting_dimension)
     assert run(capsys, *argv)[0] == 0
-    assert len(calls) == 42
+    # 42 classes, 18 of them self-converse: one search per converse pair.
+    assert len(calls) == 30
+    assert len({converse_class_code(D) for D in calls}) == 30
+
+
+@pytest.mark.parametrize("n, dedup, rows, searches", [
+    (0, True, 1, 1), (1, True, 1, 1), (2, True, 2, 2), (3, True, 7, 6), (4, True, 42, 30),
+    (5, True, 582, 342), (4, False, 729, 30)])
+def test_sweep_searches_one_class_per_converse_pair(monkeypatch, n, dedup, rows, searches):
+    # On n vertices, (classes + self-converse classes) / 2 converse pairs.
+    walked, searched = _recorded_rows(monkeypatch, n, dedup)
+    assert (len(walked), len(searched)) == (rows, searches)
+
+
+def test_sweep_mirrored_rows_match_their_own_search(monkeypatch):
+    # Each of the 240 classes of `sweep 5 --dedup` that take their
+    # converse's row gets the row that searching it would give.
+    rows, searched = _recorded_rows(monkeypatch, 5, True)
+    searched_codes = {code for code, _ in searched}
+    mirrored = [row for row in rows if row.digraph_code not in searched_codes]
+    assert len(mirrored) == 582 - 342
+    for row in mirrored:
+        D = _from_code(5, row.digraph_code)
+        assert _sweep_row(D, row.digraph_code, solver.DEFAULT_BUDGET, None) == row
 
 
 def _serial_rows(monkeypatch):
@@ -716,20 +747,23 @@ def _serial_rows(monkeypatch):
 @pytest.mark.parametrize("n", range(5))
 def test_sweep_walk_classes_are_isomorphism_classes(monkeypatch, n):
     # A later member carries the row, hence the serial, of the search its
-    # class index points at.
+    # class index points at, and a class whose converse came first carries
+    # that class's serial: the stub settles every row.
     _serial_rows(monkeypatch)
     rows = list(_sweep_rows(n, False, solver.DEFAULT_BUDGET, None))
-    canon = [brute_canonical_code(D) for D in all_labeled_digraphs(n)]
+    canon = [converse_class_code(D) for D in all_labeled_digraphs(n)]
     assert len(rows) == len(canon) == 3 ** (n * (n - 1) // 2)
     for (a, ca), (b, cb) in itertools.combinations(zip(rows, canon), 2):
         assert (a.dimension == b.dimension) == (ca == cb), (a.digraph_code, b.digraph_code)
 
 
 def test_sweep_dedup_code_is_the_least_sorted_image_arc_list(monkeypatch):
+    # A mirrored class is coded by its own least image, not its converse's.
     searched = _serial_rows(monkeypatch)
     rows = list(_sweep_rows(5, True, solver.DEFAULT_BUDGET, None))
-    assert len(rows) == len(searched) == 582
-    for row, D in zip(rows, searched):
+    assert len(rows) == 582 and len(searched) == 342
+    for row in rows:
+        D = _from_code(5, row.digraph_code)
         least = min(sorted((p[u], p[v]) for u, v in D.arcs)
                     for p in itertools.permutations(range(5)))
         assert row.digraph_code == _code(build(5, least))
@@ -752,8 +786,9 @@ def test_sweep_five_dedup_walk_stays_small(monkeypatch):
 def test_sweep_under_small_budget_gives_isomorphic_digraphs_equal_rows(capsys):
     code, out, _ = run(capsys, "sweep", "3", "--budget", "3")
     assert code == 0
-    rows = [json.loads(line) for line in out.strip().splitlines()[:-1]]
-    assert len(rows) == 27 and any(row["dimension"] is None for row in rows)
+    lines = out.strip().splitlines()
+    rows = [json.loads(line) for line in lines[:-1]]
+    assert len(rows) == 27 and json.loads(lines[-1])["summary"]["unknown_rows"] == 20
     by_class = {}
     for row in rows:
         D = _from_code(3, row.pop("digraph_code"))
@@ -761,6 +796,14 @@ def test_sweep_under_small_budget_gives_isomorphic_digraphs_equal_rows(capsys):
     assert len(by_class) == 7
     for members in by_class.values():
         assert all(row == members[0] for row in members)
+    # A settled row serves its converse class.  Here the in-star's search
+    # settles, and its row serves the out-stars 0>1;0>2, 1>0;1>2 and
+    # 2>0;2>1, whose own search would run out at this budget.
+    for canon, members in by_class.items():
+        if members[0]["dimension"] is not None:
+            assert by_class[brute_canonical_code(converse(_from_code(3, canon)))] == members
+    out_star = by_class[brute_canonical_code(_from_code(3, "0>1;0>2"))]
+    assert len(out_star) == 3 and out_star[0]["dimension"] == 1
 
 
 # sha256 of stdout and the exit code of sweeps whose bytes must not change.

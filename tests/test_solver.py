@@ -45,6 +45,7 @@ from helpers import (
     all_labeled_digraphs,
     brute_canonical_code,
     brute_orbit,
+    converse,
     cyclic_tournament,
     naive_induced_two_paths,
     naive_margin,
@@ -814,6 +815,41 @@ def test_ceiling_answers_only_when_its_pairs_fit_the_budget():
     res = dimension(path(6), budget=14)
     assert not res.known and (res.lower, res.upper) == (4, realize_path(6).d)
     assert res.per_d[-1][1] == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 14)
+
+
+def test_family_ceiling_builds_one_realizer(monkeypatch):
+    # Reading the ceiling builds realize_cycle's realizer alone; only the
+    # ceiling rule moves its vectors onto D's labels.
+    widths = []
+    real = Realizer.__post_init__
+
+    def counting(self):
+        widths.append(self.d)
+        real(self)
+
+    monkeypatch.setattr(Realizer, "__post_init__", counting)
+    assert deciders.Climb(cycle(20000), 0).ceiling == 4
+    assert widths == [4]
+
+
+def test_negated_witness_realizes_the_converse(hard_mode):
+    # margin(-x, -y) = margin(y, x), so -f realizes D^T, D with every arc
+    # reversed, exactly when f realizes D: the two climb alike, which lets
+    # a sweep search one class of each converse pair.  Seven-vertex draws
+    # take 10-20 s in all, dimension-5 digraphs 1-2 s each, so only --hard
+    # draws them.
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randrange(4, 8 if hard_mode else 7)
+        D = random_digraph(rng, n)
+        T = converse(D)
+        res = dimension(D, shortcuts=n > 5)
+        f = res.witness
+        assert verify(T, Realizer(f.d, {v: tuple(-x for x in vec)
+                                        for v, vec in f.vectors.items()})).valid
+        rev = dimension(T, shortcuts=n > 5)
+        assert rev.known and rev.dimension == res.dimension
+        assert [(d, o.verdict) for d, o in rev.per_d] == [(d, o.verdict) for d, o in res.per_d]
 
 
 def _construction_width(D):
