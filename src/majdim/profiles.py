@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .digraph import Digraph, bits
-from .realizer import MissingVertex, Realizer, lane_signs, margin_lanes, strict_json_loads
+from .realizer import MissingVertex, Realizer, lane_signs, margin, margin_lanes, strict_json_loads
 
 
 class ProfileError(ValueError):
@@ -65,13 +65,12 @@ class Profile:
 
 
 def majority_margin(R: Profile, a: int, b: int) -> int:
-    """#{voters preferring a to b} - #{voters preferring b to a}."""
+    """#{voters preferring a to b} - #{voters preferring b to a}, the
+    margin of a's ranks over b's, read voter by voter."""
     m = R.alternatives
     if not (0 <= a < m and 0 <= b < m):
         raise UnknownAlternative(f"alternatives must lie in 0..{m - 1}")
-    up = sum(voter[a] > voter[b] for voter in R.voters)
-    down = sum(voter[b] > voter[a] for voter in R.voters)
-    return up - down
+    return margin([voter[a] for voter in R.voters], [voter[b] for voter in R.voters])
 
 
 def majority_digraph(R: Profile) -> Digraph:

@@ -74,22 +74,26 @@ Pruning, all of it completeness-preserving:
   vertices w != first that some automorphism of D is shown to map first
   to (`_first_orbit`).  Once first takes vector c, each w in O keeps only
   the vectors whose sorted coordinates are lexicographically >= sorted(c),
-  its key: the mask `_Space.at_least(c)` joins w's domain.  If f is a
-  realizer and s an automorphism, f o s is a realizer too, since s maps
-  arcs to arcs and non-arcs to non-arcs; it is rank-compressed when f is,
-  since each column keeps its values, and it meets the d = 3 rule, since
-  s maps induced two-paths to induced two-paths.  Start from a compressed
-  realizer f and take s mapping first to a vertex of least key under f in
-  first's whole orbit; s maps each w of O, a vertex of that orbit, into
-  it, so under f o s no w in O has a key below first's.  A column
-  permutation keeps every sorted key, so sorting first's vector into
-  column order, and each later step of the column-symmetry induction,
-  keep the key masks met, and rank compression goes through unchanged.
-  The argument needs each w in O to be an image of first, not every image
-  to be in O, so matcher runs cut short by their cap may leave w out.
-  The root's first candidate (1, ..., 1) has the least key, so its masks
-  would hold every vector; the orbit is only scanned, once per digraph,
-  when the root moves past it.
+  its key.  With every column pair tied the root's candidates are the
+  nondecreasing vectors, one per permutation class, in lexicographic
+  order, so the vectors of smaller key are the permutations of the root's
+  earlier candidates (`_Space.permutations`), and w keeps the rest.
+  If f is a realizer and s an automorphism, f o s is a realizer too,
+  since s maps arcs to arcs and non-arcs to non-arcs; it is
+  rank-compressed when f is, since each column keeps its values, and it
+  meets the d = 3 rule, since s maps induced two-paths to induced
+  two-paths.  Start from a compressed realizer f and take s mapping
+  first to a vertex of least key under f in first's whole orbit; s maps
+  each w of O, a vertex of that orbit, into it, so under f o s no w in O
+  has a key below first's.  A column permutation keeps every sorted key,
+  so sorting first's vector into column order, and each later step of
+  the column-symmetry induction, keep the key masks met, and rank
+  compression goes through unchanged.  The argument needs each w in O to
+  be an image of first, not every image to be in O, so matcher runs cut
+  short by their cap may leave w out.  The root's first candidate
+  (1, ..., 1) has the least key, so its masks would hold every vector;
+  the orbit is only scanned, once per digraph, when the root moves past
+  it.
 * three-dimensional no-shared-coordinate rule - in R^3, if x -> y -> z is
   an induced two-path then a realizer gives x, y (and y, z) no equal
   coordinate, so need marks those pairs +-2 once, however many two-paths
@@ -121,7 +125,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .digraph import Digraph, bits, induced_two_paths
 from .realizer import Realizer, verified
@@ -230,8 +234,8 @@ class _Space:
     nranks + 1 bits per column: bit i * (nranks + 1) + r stands for value r
     in column i, and bit 0 of every field stays clear.  value_bits[x] holds
     the d values of vectors[x].  The masks that `mask` builds are kept up
-    to 4 * N at a time, N bits each, and `fewer` keeps d + 1 masks for
-    each threshold 1..nranks + 1 it is asked for.
+    to 4 * N at a time, N bits each, and `permutations` keeps one N-bit set
+    for each vector it is asked about.
     """
 
     def __init__(self, nranks: int, d: int):
@@ -262,7 +266,7 @@ class _Space:
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.vectors)
         self._tight_fields: dict[int, int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
-        self._fewer: list[list[int] | None] = [None] * (nranks + 2)
+        self._permutations: dict[int, int] = {}
 
     def row(self, c: int) -> tuple[int, ...]:
         """Relation row of vectors[c], indexed by a need value s.
@@ -302,45 +306,23 @@ class _Space:
             self._rows[c] = row
         return row
 
-    def fewer(self, r: int) -> list[int]:
-        """fewer(r)[k]: the vectors with fewer than k coordinates below r,
-        for k in 0..d, that is, whose k-th smallest coordinate is >= r.
+    def permutations(self, c: int) -> int:
+        """Set of the vectors whose coordinates permute those of vectors[c].
 
-        Built on first use by counting coordinates below r one column at a
-        time, and kept: d + 1 masks for each r in 1..nranks + 1.
+        Vector x has index sum((x[i] - 1) * nranks**(d - 1 - i)), so each
+        coordinate placed multiplies the index so far by nranks and adds
+        x[i] - 1.  The prefixes are one set of (index so far, values still
+        to place), so a permutation is built once however many values
+        repeat, not once per reordering of equal values.
         """
-        fewer = self._fewer[r]
-        if fewer is None:
-            levels = [self.full]  # levels[j]: exactly j coordinates below r so far
-            for below in self.below:
-                lt = below[r] if r <= self.nranks else self.full
-                ge = self.full ^ lt
-                nxt = [0] * (len(levels) + 1)
-                for j, level in enumerate(levels):
-                    nxt[j] |= level & ge
-                    nxt[j + 1] |= level & lt
-                levels = nxt
-            fewer = [0]
-            for level in levels[: self.d]:
-                fewer.append(fewer[-1] | level)
-            self._fewer[r] = fewer
-        return fewer
-
-    def at_least(self, c: int) -> int:
-        """Set of vectors whose sorted coordinates are lexicographically >=
-        those of vectors[c], the key mask of the orbit rule.
-
-        With s = sorted(vectors[c]) and x' = sorted(x), x' >= s from
-        position k on when x'_k > s_k, or when x'_k = s_k and x' >= s from
-        k + 1 on.  x'_k > s_k is fewer(s_k + 1)[k], which lies inside
-        x'_k >= s_k, fewer(s_k)[k], so reading s from its last position
-        back takes two cached masks and two operations per position.
-        """
-        s = sorted(self.vectors[c])
-        key = self.full
-        for k in range(self.d, 0, -1):
-            key = self.fewer(s[k - 1] + 1)[k] | self.fewer(s[k - 1])[k] & key
-        return key
+        perms = self._permutations.get(c)
+        if perms is None:
+            prefixes = {(0, tuple(sorted(self.vectors[c])))}
+            for _ in range(self.d):
+                prefixes = {(index * self.nranks + r - 1, left[:i] + left[i + 1 :])
+                            for index, left in prefixes for i, r in enumerate(left)}
+            perms = self._permutations[c] = sum(1 << index for index, _ in prefixes)
+        return perms
 
     def mask(self, pattern: int, used: int, ceilings: int) -> int:
         """Set of vectors the next vertex may take under both symmetry rules.
@@ -450,12 +432,10 @@ class _Plan:
             for u, v in ((x, y), (y, z)):
                 self.need[v][u] = 2
                 self.need[u][v] = -2
-        self._orbit: tuple[int, ...] | None = None
 
+    @cached_property
     def orbit(self) -> tuple[int, ...]:
-        if self._orbit is None:
-            self._orbit = _first_orbit(self.D, self.order[0])
-        return self._orbit
+        return _first_orbit(self.D, self.order[0])
 
 
 # Kept for the last digraph, which every level of a climb searches.
@@ -527,20 +507,23 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     # with no orbit, one call per candidate visits the nodes, in the same
     # order, that one call over all of them would.  descend never writes
     # to the doms it is given, so candidates without keys share one list.
+    # keys holds the vectors that permute no earlier candidate; the first
+    # one, (1, ..., 1), is its own permutation class.
     first, rest = order[0], order[1:]
     pattern = (1 << max(d - 1, 0)) - 1
     cand = mask(pattern, 0, space.top)
     unbounded = [space.full] * n
+    keys = space.full ^ 1
     try:
         while cand:
             low = cand & -cand
             cand ^= low
             doms = unbounded
-            if low != 1 and (orbit := plan.orbit()):
-                key = space.at_least(low.bit_length() - 1)
+            if low != 1 and (orbit := plan.orbit):
                 doms = unbounded.copy()
                 for w in orbit:
-                    doms[w] = key
+                    doms[w] = keys
+                keys ^= space.permutations(low.bit_length() - 1)
             if descend(first, low, rest, doms, pattern, 0, space.top):
                 witness = Realizer(d, {v: space.vectors[chosen[v]] for v in range(n)})
                 return SolveOutcome(Verdict.REALIZABLE, verified(D, witness, "search"), nodes)

@@ -40,6 +40,7 @@ from majdim import (
 from majdim import deciders
 from majdim.cli import _sweep_rows
 from majdim.deciders import _obstructions, induced_copy
+from majdim.digraph import bits
 from majdim.solver import _first_orbit, _plan, _Space, _space_for
 from helpers import (
     all_labeled_digraphs,
@@ -428,13 +429,32 @@ def test_first_orbit_prefilter_drops_no_image():
             assert _first_orbit(D, v) == unfiltered_orbit(D, v), (D.n, sorted(D.arcs), v)
 
 
-@pytest.mark.parametrize("nranks, d", [(1, 3), (3, 0), (3, 1), (4, 2), (4, 3), (2, 4)])
-def test_key_mask_matches_sorted_order(nranks, d):
+_KEY_SPACES = [(1, 3), (3, 0), (3, 1), (4, 2), (4, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("nranks, d", _KEY_SPACES)
+def test_permutations_match_brute_force(nranks, d):
     space = _Space(nranks, d)
     for c, vc in enumerate(space.vectors):
-        key = space.at_least(c)
+        perms = space.permutations(c)
         for x, vx in enumerate(space.vectors):
-            assert key >> x & 1 == (sorted(vx) >= sorted(vc)), (vc, vx)
+            assert perms >> x & 1 == (sorted(vx) == sorted(vc)), (vc, vx)
+
+
+@pytest.mark.parametrize("nranks, d", _KEY_SPACES)
+def test_key_mask_matches_sorted_order(nranks, d):
+    # The search's root takes the column-ordered vectors in index order,
+    # and an orbit vertex keeps the vectors that permute no earlier one.
+    space = _Space(nranks, d)
+    root = space.mask((1 << max(d - 1, 0)) - 1, 0, space.top)
+    assert root & 1 and space.permutations(0) == 1  # (1, ..., 1), the search's start
+    passed = 0
+    for c in bits(root):
+        key = space.full ^ passed
+        for x, vx in enumerate(space.vectors):
+            assert key >> x & 1 == (sorted(vx) >= sorted(space.vectors[c])), (c, vx)
+        passed |= space.permutations(c)
+    assert passed == space.full
 
 
 def test_dimension_one_characterization_via_search():
@@ -581,6 +601,21 @@ def test_cycle10_d3_exhaustion_is_pinned():
     assert (outcome.verdict, outcome.nodes_explored) == (Verdict.NOT_REALIZABLE, 86962)
 
 
+def test_symmetric_searches_are_pinned():
+    # Verdicts, node counts and witnesses of searches that bound the first
+    # vertex's orbit, at d = 3-5, by one sha256.
+    cases = [(cyclic_tournament(7), d) for d in range(2, 6)]
+    cases += [(subset_family(4, 1), 4), (subset_family(4, 1), 5),
+              (disjoint_union([cycle(4)] * 2), 3), (cycle(7), 3),
+              (disjoint_union([cycle(3)] * 3), 3)]
+    digest = hashlib.sha256()
+    for D, d in cases:
+        outcome = is_realizable(D, d)
+        digest.update(repr((outcome.verdict, outcome.nodes_explored, outcome.witness)).encode())
+    assert digest.hexdigest() == (
+        "071027b692b66f7cd8564541b59ff0a37e4d83b412d3fa4f6b4b81ad9c94d145")
+
+
 def test_search_does_not_depend_on_call_history():
     # The per-digraph plan and the spaces are cached; what a call returns
     # must not depend on which calls came before it.
@@ -647,8 +682,15 @@ def test_solver_nodes_are_deterministic():
         (cycle(6), None, [0, 0, 21, 1264, 14]),
         (path(8), 4, [4682]),
         (path(9), 4, [8584]),
+        # Searches that bound the first vertex's orbit.
+        (cyclic_tournament(7), None, [0, 0, 28, 5744, 10658, 8717]),
+        (subset_family(4, 1), 4, [321]),
+        (subset_family(4, 1), 5, [1400]),
+        (disjoint_union([cycle(4)] * 2), 3, [24229]),
+        (cycle(7), 3, [4467]),
     ],
-    ids=["path4", "path5", "path6", "cycle4", "cycle5", "cycle6", "path8-d4", "path9-d4"],
+    ids=["path4", "path5", "path6", "cycle4", "cycle5", "cycle6", "path8-d4", "path9-d4",
+         "tournament7", "subset_family41-d4", "subset_family41-d5", "2cycle4-d3", "cycle7-d3"],
 )
 def test_solver_node_counts_are_pinned(D, d, nodes):
     # The search's own regression gate, level by level from d = 2; levels
