@@ -188,20 +188,12 @@ def realize_path(n: int) -> Realizer:
     """Minimum-dimension realizer of the directed path on n vertices.
 
     Dimensions: 0 for a single vertex, 1 for one arc, 3 for 3 to 5
-    vertices, and 4 beyond.  For 4 and 5 vertices the vectors are the
-    leading n rows of _PATH_FIVE: a prefix of a path is an induced
-    subpath, so the restriction of a realizer still verifies.  For n >= 6
-    the map places vertex t (1-based) at
-
-        (2m - t, 2m - t, t, t)          for odd t,
-        (2m - t, 2m - t, t - 2, t + 2)  for even t,
-
-    where 2m - 1 is the smallest odd vertex count >= n.  The first two
-    coordinates descend along the path and the last two ascend with an
-    even/odd stagger, so consecutive vertices win 3-1 while any pair two
-    or more steps apart splits {1,2} against {3,4}.  Even n takes the
-    leading n vertices of the odd construction, by the same prefix
-    argument.
+    vertices, and 4 beyond.  path(n) is the induced subdigraph of
+    cycle(n + 1) on the vertices 0..n-1, and a prefix of a path is an
+    induced subpath, so restricting a realizer of either to those
+    vertices still verifies.  For 3 to 5 vertices the vectors are the
+    leading n rows of _PATH_FIVE; for n >= 6 they are the leading n rows
+    of the (n + 1)-cycle matrix, `_cycle_rows(n + 1)`.
     """
     if type(n) is not int or n < 1:
         raise BadParams(f"realize_path({n!r})")
@@ -209,18 +201,9 @@ def realize_path(n: int) -> Realizer:
         return Realizer(0, {0: ()})
     if n == 2:
         return Realizer(1, {0: (2,), 1: (1,)})
-    if n == 3:
-        return Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 0, 3)})
     if n <= 5:
         return Realizer(3, dict(enumerate(_PATH_FIVE[:n])))
-    m = n // 2 + 1
-    vecs = {}
-    for t in range(1, n + 1):
-        if t % 2:
-            vecs[t - 1] = (2 * m - t, 2 * m - t, t, t)
-        else:
-            vecs[t - 1] = (2 * m - t, 2 * m - t, t - 2, t + 2)
-    return Realizer(4, vecs)
+    return Realizer(4, dict(enumerate(_cycle_rows(n + 1)[:n])))
 
 
 # --- cycle matrices ---------------------------------------------------------
@@ -277,14 +260,6 @@ class CycleMatrix:
         check_cycle_matrix(self.n, self.entries)
 
 
-_BASE_FOUR = (
-    (3, 1, 2, 4),
-    (2, 4, 1, 3),
-    (1, 3, 4, 2),
-    (4, 2, 3, 1),
-)
-
-
 def _two_voters(n: int, clusters) -> tuple[list[int], list[int]]:
     """The columns of two voters over the vertices 0..n-1, which the
     clusters partition; a cluster is a pair of local orders of its
@@ -313,7 +288,7 @@ def _pairs(start: int, stop: int):
 
 
 def _cycle_rows(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The rows of the n x 4 cycle matrix for n >= 5; each column is a
+    """The rows of the n x 4 cycle matrix for n >= 4; each column is a
     permutation of 1..n.
 
     The arcs (i, i + 1 mod n) of the cycle are split into two halves,
@@ -327,8 +302,8 @@ def _cycle_rows(n: int) -> tuple[tuple[int, int, int, int], ...]:
     ([n-3, 0, n-2, 1], [0, 1, n-3, n-2]), which carries the arcs (0, 1)
     and (n - 3, n - 2), puts 0 over n - 2 and splits its other pairs,
     and vertex n - 1 stands alone.  Summing the halves gives 3-1 on cycle
-    arcs and 2-2 elsewhere.  The clusters are listed so that each column
-    orders the rows as in earlier versions.
+    arcs and 2-2 elsewhere.  The clusters are listed so that, for n >= 5,
+    each column orders the rows as in earlier versions.
     """
     if n % 2 == 0:
         first = _pairs(n - 2, -1)
@@ -340,13 +315,12 @@ def _cycle_rows(n: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def cycle_matrix(n: int) -> CycleMatrix:
-    """Build an n x 4 cycle matrix (n >= 4): _BASE_FOUR for n = 4, else
-    `_cycle_rows`.  All five matrix conditions are re-checked on
-    construction.
+    """Build the n x 4 cycle matrix `_cycle_rows(n)` (n >= 4).  All five
+    matrix conditions are re-checked on construction.
     """
     if type(n) is not int or n < 4:
         raise BadParams(f"cycle_matrix({n!r}): need n >= 4")
-    return CycleMatrix(n, _BASE_FOUR if n == 4 else _cycle_rows(n))
+    return CycleMatrix(n, _cycle_rows(n))
 
 
 def realize_cycle(n: int) -> Realizer:

@@ -44,7 +44,7 @@ from majdim import (
     union_realizer,
     verify,
 )
-from majdim.constructions import _two_voters
+from majdim.constructions import _PATH_FIVE, _two_voters
 from helpers import (
     all_labeled_digraphs,
     cycle_matrix_failures,
@@ -261,7 +261,10 @@ def test_condense_lift_errors():
 def test_realize_path_goldens():
     assert realize_path(1).d == 0
     assert realize_path(2).vectors == {0: (2,), 1: (1,)}
-    assert realize_path(3).vectors == {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 0, 3)}
+    # A prefix of a path is an induced subpath: path(3) takes the first
+    # three of path(5)'s vectors.
+    assert realize_path(3).vectors == {0: (2, 1, 4), 1: (1, 2, 3), 2: (3, 1, 2)}
+    assert realize_path(3).vectors == dict(enumerate(_PATH_FIVE[:3]))
     assert realize_path(5).vectors == {
         0: (2, 1, 4),
         1: (1, 2, 3),
@@ -269,11 +272,17 @@ def test_realize_path_goldens():
         3: (2, 2, 1),
         4: (1, 1, 5),
     }
-    # n >= 6: m = n // 2 + 1, so 6 and 7 both have m = 4, and 6 is a prefix of 7.
-    six = {0: (7, 7, 1, 1), 1: (6, 6, 0, 4), 2: (5, 5, 3, 3), 3: (4, 4, 2, 6),
-           4: (3, 3, 5, 5), 5: (2, 2, 4, 8)}
+    # n >= 6: the first n rows of the (n + 1)-cycle matrix, the 7-cycle's
+    # odd layout for 6 and the 8-cycle's even one for 7, so 6 is no
+    # prefix of 7.
+    six = {0: (4, 6, 1, 5), 1: (2, 5, 5, 4), 2: (7, 2, 4, 3), 3: (6, 1, 7, 2),
+           4: (5, 4, 6, 1), 5: (3, 3, 3, 7)}
+    seven = {0: (2, 8, 1, 7), 1: (1, 7, 4, 6), 2: (4, 6, 3, 5), 3: (3, 5, 6, 4),
+             4: (6, 4, 5, 3), 5: (5, 3, 8, 2), 6: (8, 2, 7, 1)}
     assert realize_path(6).vectors == six
-    assert realize_path(7).vectors == {**six, 6: (1, 1, 7, 7)}
+    assert realize_path(7).vectors == seven
+    for n, vectors in ((6, six), (7, seven)):
+        assert list(vectors.values()) == list(cycle_matrix(n + 1).entries[:n])
     with pytest.raises(BadParams):
         realize_path(0)
 
@@ -292,22 +301,19 @@ def test_realize_path_verifies(n):
     assert verify(path(n), f).valid
 
 
-def test_realize_path_distant_pairs_split_first_two_against_last_two():
-    f = realize_path(9)
-    for i in range(9):
-        for j in range(i + 2, 9):
-            x, y = f.vectors[i], f.vectors[j]
-            assert {k for k in range(4) if x[k] > y[k]} == {0, 1}
-            assert {k for k in range(4) if y[k] > x[k]} == {2, 3}
+def test_realize_path_is_the_leading_rows_of_the_next_cycle_matrix():
+    # CycleMatrix re-checks all five conditions, so each path witness is
+    # the prefix of a checked matrix.
+    for n in range(6, 65):
+        assert realize_path(n).vertex_vectors(n) == list(cycle_matrix(n + 1).entries[:n])
 
 
 def test_cycle_matrix_base_case():
-    assert cycle_matrix(4).entries == (
-        (3, 1, 2, 4),
-        (2, 4, 1, 3),
-        (1, 3, 4, 2),
-        (4, 2, 3, 1),
-    )
+    entries = cycle_matrix(4).entries
+    assert entries == ((2, 4, 1, 3), (1, 3, 4, 2), (4, 2, 3, 1), (3, 1, 2, 4))
+    # The hand-typed 4-cycle matrix of earlier versions, rotated by one row.
+    earlier = ((3, 1, 2, 4), (2, 4, 1, 3), (1, 3, 4, 2), (4, 2, 3, 1))
+    assert entries == tuple(earlier[(i + 1) % 4] for i in range(4))
     with pytest.raises(BadParams):
         cycle_matrix(3)
 
@@ -315,8 +321,8 @@ def test_cycle_matrix_base_case():
 @pytest.mark.parametrize("value", [4.5, 4.0, "4"])
 def test_cycle_matrix_rejects_non_integer_entries(value):
     rows = [list(row) for row in cycle_matrix(4).entries]
-    assert rows[0][3] == 4
-    rows[0][3] = value
+    assert rows[0][1] == 4
+    rows[0][1] = value
     with pytest.raises(ConstructionError):
         CycleMatrix(4, tuple(tuple(row) for row in rows))
     with pytest.raises(ConstructionError):
@@ -409,7 +415,7 @@ def test_cycle_matrix_goldens():
 
 
 def test_cycle_matrix_columns_are_ranks():
-    for n in range(5, 65):
+    for n in range(4, 65):
         entries = cycle_matrix(n).entries
         for k in range(4):
             assert sorted(row[k] for row in entries) == list(range(1, n + 1))
