@@ -5,9 +5,10 @@ Digraphs travel as edge-list text (first line the vertex count, then one
 "u v" arc per line, '#' comments allowed), realizers and profiles as JSON.
 
 Exit codes: 0 success, 1 negative answer on a valid run (invalid realizer,
-dimension not pinned down), 2 input error or out of memory, 3 internal
-invariant breach: a failed self-check (`realizer.SelfCheckFailed`) in
-`dim`, `sweep` or `realize`, or a sweep summary fact that does not hold.
+dimension not pinned down), 2 input error, out of memory or a reader that
+closed stdout early (the `majdim` script, `entry`, exits quietly), 3
+internal invariant breach: a failed self-check (`realizer.SelfCheckFailed`)
+in `dim`, `sweep` or `realize`, or a sweep summary fact that does not hold.
 
 `main` registers only the subparser of the command that argv[0] names
 (every command for anything else: no argv, -h, an unknown word), because
@@ -22,6 +23,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -125,17 +127,7 @@ def _cmd_verify(args) -> int:
     if report.valid:
         print(json.dumps({"valid": True}))
         return 0
-    print(
-        json.dumps(
-            {
-                "valid": False,
-                "violations": [
-                    {"u": w.u, "v": w.v, "expected": w.expected, "margin": w.margin}
-                    for w in report.violations
-                ],
-            }
-        )
-    )
+    print(json.dumps({"valid": False, "violations": [w._asdict() for w in report.violations]}))
     return 1
 
 
@@ -214,16 +206,12 @@ def _cmd_condense(args) -> int:
     if args.dot:
         sys.stdout.write(to_dot(cr.condensed, name="condensed"))
         return 0
-    print(
-        json.dumps(
-            {
-                "classes": cr.condensed.n,
-                "representative": {str(v): cr.representative[v] for v in range(D.n)},
-                "class_of": {str(v): cr.class_of[v] for v in range(D.n)},
-                "condensed": {"n": cr.condensed.n, "arcs": cr.condensed.sorted_arcs()},
-            }
-        )
-    )
+    print(json.dumps({
+        "classes": cr.condensed.n,
+        "representative": cr.representative,
+        "class_of": cr.class_of,
+        "condensed": {"n": cr.condensed.n, "arcs": cr.condensed.sorted_arcs()},
+    }))
     return 0
 
 
@@ -268,8 +256,8 @@ def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRo
     return row
 
 
-def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
-    """Yield the SweepRow of each digraph on n vertices that `sweep` reports.
+def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None) -> list[SweepRow]:
+    """The SweepRows that `sweep` reports for the digraphs on n vertices.
 
     One walk over the 3^C states of the C vertex pairs u < v, in
     itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  A state's
@@ -278,29 +266,28 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
     table: entry 3 * j + t is what pair j in state t adds to the code of
     p's image, so an image code is a sum over the arcs.  Above the code
     bits the same entry adds bit n^2 - 1 - (a * n + b) of an arc-order key
-    for the image arc (a, b).  The first state of a class to come up is the
-    only one that may be searched (its converse's row may serve, below),
-    and the flat list class_of gives all its image codes the class's
-    index.  So the walk keeps one index per state, one row per class and
+    for the image arc (a, b).  The walk handles only the first state of
+    each class, in both modes, and the flat list class_of gives all its
+    image codes the class's index; a state whose class is known is
+    skipped.  So the walk keeps one index per state, one row per class and
     3C entries per relabeling, not the images themselves.
 
     Every field of a row except `digraph_code` is an isomorphism invariant
     (relabeling the vertices of a realizer realizes the relabeled digraph,
-    and the predicates and the condensation commute with relabeling), so a
-    later member is given its class's row under its own arc code.  With
-    dedup only first members come, coded by the least arc code over their
-    relabelings; `sweep` caps n at 5, so labels are one digit and the
-    least code is the code of the least sorted arc list.  That list has the
-    largest key: all images have the same arc count, so where two sorted
-    lists first differ, the lesser one holds an arc below every arc of the
-    symmetric difference, and that arc is the highest key bit they do not
-    share.
+    and the predicates and the condensation commute with relabeling), so
+    the rows are read after the walk.  With dedup they are the class table
+    itself, each class coded by the least arc code over its relabelings;
+    `sweep` caps n at 5, so labels are one digit and the least code is the
+    code of the least sorted arc list.  That list has the largest key: all
+    images have the same arc count, so where two sorted lists first differ,
+    the lesser one holds an arc below every arc of the symmetric
+    difference, and that arc is the highest key bit they do not share.
+    Without dedup there is one row per state, rows[class_of[code]] under
+    the state's own arc code.
 
-    A new class is searched only when the class of its converse D^T (every
-    arc reversed) did not come before it with a settled row; if it did, the
-    new class takes that row under its own code.  The converse's code is
-    D's with digits 1 and 2 swapped, the sum of add[v, u] over D's arcs
-    (u, v), and it is looked up before D's images are registered, so a
+    The converse D^T of a new class D (every arc reversed) has D's code
+    with digits 1 and 2 swapped, the sum of add[v, u] over D's arcs (u, v),
+    and it is looked up before D's images are registered, so a
     self-converse class finds no earlier class.  Every field but the code
     is the same for D and D^T:
     - margin(-x, -y) = margin(y, x), so f realizes D exactly when -f
@@ -313,13 +300,16 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
       same homogeneous classes, the condensation of D^T is the converse of
       D's, and the converse of a nonempty acyclic tournament is one too.
     - n and the arc count do not change.
+    So a class whose converse class came first takes that class's row when
+    it is settled.  Otherwise it searches, and when its search settles,
+    the earlier class's entry takes that row too, keeping its own code;
+    when its search runs out as well, it takes the earlier class's row.
 
     Node counts do depend on the labeling, so under a budget too small to
-    finish a level every member reports its first member's bounds: the
-    rows of isomorphic digraphs are equal, as dedup assumes.  An unknown
-    row is never copied to the converse class, which searches for itself;
-    a class whose converse's row was settled reports it even where its own
-    search would have run out.
+    finish a level every member reports its class's row: the rows of
+    isomorphic digraphs are equal, as dedup assumes, and so are the rows
+    of the two classes of a converse pair.  A pair's row is unknown only
+    when the searches of both its classes run out.
     """
     pairs = list(itertools.combinations(range(n), 2))
     shift = (3 ** len(pairs)).bit_length()
@@ -331,16 +321,16 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
            for a, b in itertools.permutations(range(n), 2)}
     tables = [[x for u, v in pairs for x in (0, add[p[u], p[v]], add[p[v], p[u]])]
               for p in itertools.permutations(range(n))]
+
+    def arcs_of(states):
+        return [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+
     class_of = [-1] * 3 ** len(pairs)
-    rows: list[SweepRow] = []  # one per class, under its searched code
+    rows: list[SweepRow] = []  # one per class, under its first or least code
     for code, states in enumerate(itertools.product(range(3), repeat=len(pairs))):
-        k = class_of[code]
-        if k >= 0 and dedup:
+        if class_of[code] >= 0:
             continue
-        arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
-        if k >= 0:
-            yield SweepRow(_arc_code(arcs), *rows[k][1:])
-            continue
+        arcs = arcs_of(states)
         mirror = class_of[sum(add[v, u] for u, v in arcs) & low]
         entries = [3 * j + s for j, s in enumerate(states) if s]
         images = [sum(map(table.__getitem__, entries)) for table in tables]
@@ -349,11 +339,17 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None):
         key = max(images) >> shift
         least = [divmod(i, n) for i in range(n * n) if key >> n * n - 1 - i & 1]
         own = _arc_code(least if dedup else arcs)
-        if mirror >= 0 and rows[mirror].dimension is not None:
-            rows.append(SweepRow(own, *rows[mirror][1:]))
-        else:
-            rows.append(_sweep_row(build(n, arcs), own, budget, max_d))
-        yield rows[-1]
+        if mirror < 0:
+            row = _sweep_row(build(n, arcs), own, budget, max_d)
+        elif (row := rows[mirror]).dimension is None:
+            searched = _sweep_row(build(n, arcs), own, budget, max_d)
+            if searched.dimension is not None:
+                row = rows[mirror] = SweepRow(row.digraph_code, *searched[1:])
+        rows.append(SweepRow(own, *row[1:]))
+    if dedup:
+        return rows
+    return [SweepRow(_arc_code(arcs_of(states)), *rows[k][1:])
+            for k, states in zip(class_of, itertools.product(range(3), repeat=len(pairs)))]
 
 
 def _cmd_sweep(args) -> int:
@@ -361,7 +357,7 @@ def _cmd_sweep(args) -> int:
     limit, mode = (5, "with") if args.dedup else (4, "without")
     if not (0 <= n <= limit):
         raise ParseError(f"sweep supports 0 <= n <= {limit} {mode} --dedup")
-    rows = list(_sweep_rows(n, args.dedup, args.budget, args.max_d))
+    rows = _sweep_rows(n, args.dedup, args.budget, args.max_d)
 
     if args.csv:
         print(",".join(SweepRow._fields))
@@ -491,7 +487,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the
+        # interpreter's own flush at exit finds no pipe to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -149,14 +149,15 @@ def _obstructions() -> tuple[tuple[str, Digraph, int], ...]:
     return tuple(table)
 
 
-def _find_obstruction(D: Digraph, budget: int, above: int) -> tuple[Obstruction | None, int]:
-    """The first table entry of dimension > above found in D, and the
-    matcher nodes spent; budget caps the nodes of the whole scan, and
+def _find_obstruction(D: Digraph, budget: int) -> tuple[Obstruction | None, int]:
+    """The first table entry found in D, and the matcher nodes spent.
+
+    The table is ordered highest dimension first, so the entry found
+    excludes the most levels, and `_by_obstruction` compares each level
+    with its dimension.  budget caps the nodes of the whole scan, and
     running out of it finds nothing."""
     spent = 0
     for name, P, k in _obstructions():
-        if k <= above:
-            break
         embedding, nodes, complete = induced_copy(P, D, budget - spent)
         spent += nodes
         if embedding is not None:
@@ -236,12 +237,14 @@ def _by_emptiness(climb: Climb, d: int) -> SolveOutcome | None:
 def _by_condensed_tournament(climb: Climb, d: int) -> SolveOutcome | None:
     """d = 1: on a line margin(x, y) is the sign of x - y, so equal points
     are homogeneous classes and distinct ones a total order; a digraph
-    fits exactly when its condensation is a nonempty acyclic tournament."""
+    fits exactly when its condensation is an acyclic tournament.  Level 0
+    has settled every arcless digraph, so one that fits here has dimension
+    exactly 1."""
     if d != 1:
         return None
     D = climb.D
     cr = condense(D)
-    if cr.condensed.arcs and is_acyclic_tournament(cr.condensed):
+    if is_acyclic_tournament(cr.condensed):
         line = constructions.realize_acyclic_tournament(cr.condensed)
         witness = verified(D, constructions.condense_lift(D, cr, line), "condensation shortcut")
         return SolveOutcome(Verdict.REALIZABLE, witness, 0, "condensed_tournament")
@@ -264,7 +267,7 @@ def _by_obstruction(climb: Climb, d: int) -> SolveOutcome | None:
     that level reports the matcher's nodes."""
     fresh = climb.scan is None
     if fresh:
-        climb.scan = _find_obstruction(climb.D, climb.budget, d)
+        climb.scan = _find_obstruction(climb.D, climb.budget)
     found, nodes = climb.scan
     if found is None or d >= found.dimension:
         return None

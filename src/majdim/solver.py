@@ -111,12 +111,12 @@ budget raises the private `_OutOfBudget`; `is_realizable` catches it
 above the recursion and answers BUDGET_EXCEEDED.  The orbit scan's matcher
 (`deciders.induced_copy`) stops the same way but catches its own signal,
 so its cap never reads as this search running out.  A level whose space
-n^d holds more than _SPACE_SIZE_LIMIT vectors is not searched and gets
-the same budget-exceeded verdict after 0 nodes.  All entry points are pure
-functions and may be called concurrently: the caches of spaces, masks and
-per-digraph plans only hold values that depend on their keys alone, so a
-race builds one twice, never differently, and no answer depends on the
-calls before it.
+fails `_space_fits`, being too large to build, is not searched and gets
+the same budget-exceeded verdict after 0 nodes.  All entry points are
+pure functions and may be called concurrently: the caches of spaces,
+masks and per-digraph plans only hold values that depend on their keys
+alone, so a race builds one twice, never differently, and no answer
+depends on the calls before it.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ from .digraph import Digraph, bits, induced_two_paths
 from .realizer import Realizer, verified
 
 DEFAULT_BUDGET = 10_000_000
-
-_SPACE_SIZE_LIMIT = 4_000_000
 
 
 class EmptyInput(ValueError):
@@ -366,6 +364,19 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
+def _space_fits(nranks: int, d: int) -> bool:
+    """Whether the search may build _Space(nranks, d).
+
+    The space holds 2 * d * (nranks + 1) coordinate masks of nranks^d bits
+    each and one value set of d * (nranks + 1) bits per vector, so both
+    grow as d * (nranks + 1) * nranks^d bits, which this caps at 2^26.
+    At the cap a space of a million vectors (nranks 10, d 6) peaks at
+    about 190 MB on Python 3.11, most of it the per-vector tuples and
+    ints.
+    """
+    return d * (nranks + 1) * nranks**d <= 2**26
+
+
 _space_for = lru_cache(maxsize=32)(_Space)
 
 
@@ -449,7 +460,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     n = D.n
     if n == 0:
         return SolveOutcome(Verdict.REALIZABLE, verified(D, Realizer(d, {}), "search"), 0)
-    if n**d > _SPACE_SIZE_LIMIT:
+    if not _space_fits(n, d):
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
     plan = _plan(D)
@@ -553,7 +564,8 @@ def dimension(
     decider's NOT_REALIZABLE is proved, and a construction realizes D at
     the ceiling, so no level from there on is excluded.  There the ceiling
     rule or the complete search answers REALIZABLE, or the search runs out
-    of nodes or finds n^d past _SPACE_SIZE_LIMIT: BUDGET_EXCEEDED.
+    of nodes or finds that the level's space fails `_space_fits`:
+    BUDGET_EXCEEDED.
     """
     # Loaded on first use: outside the search's orbit scan nothing else in
     # the package needs the matcher, the obstruction table or the rules.

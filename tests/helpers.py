@@ -18,7 +18,7 @@ from majdim import (
     verify,
 )
 from majdim.digraph import bits
-from majdim.solver import _SPACE_SIZE_LIMIT, _space_for
+from majdim.solver import _space_fits, _space_for
 
 
 def pair_counts(x, y):
@@ -310,7 +310,7 @@ def static_order_search(D, d, budget=DEFAULT_BUDGET):
     n = D.n
     if n == 0:
         return SolveOutcome(Verdict.REALIZABLE, Realizer(d, {}), 0)
-    if n**d > _SPACE_SIZE_LIMIT:
+    if not _space_fits(n, d):
         return SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
     space = _space_for(n, d)
     degree = [0] * n

@@ -806,6 +806,31 @@ def test_sweep_under_small_budget_gives_isomorphic_digraphs_equal_rows(capsys):
     assert len(out_star) == 3 and out_star[0]["dimension"] == 1
 
 
+@pytest.mark.parametrize("dedup", [False, True], ids=["labeled", "dedup"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_sweep_converse_pairs_always_agree(n, dedup):
+    # Whichever class of a converse pair the walk meets first, and whichever
+    # of the two searches settles under a small budget, both report one row.
+    canon = {}
+    for budget in [*range(1, 40), 50, 60, 80, 100, 150]:
+        by_pair = {}
+        for row in _sweep_rows(n, dedup, budget, None):
+            code = row.digraph_code
+            if code not in canon:
+                canon[code] = converse_class_code(_from_code(n, code))
+            by_pair.setdefault(canon[code], set()).add(row[1:])
+        assert all(len(rows) == 1 for rows in by_pair.values()), budget
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["sweep", "4", "--budget", "50"], 24), (["sweep", "4", "--dedup", "--budget", "20"], 22)])
+def test_sweep_unknown_rows_under_small_budget_are_pinned(capsys, argv, unknown):
+    # A converse pair's row is unknown only when both of its searches run out.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["summary"]["unknown_rows"] == unknown
+
+
 # sha256 of stdout and the exit code of sweeps whose bytes must not change.
 SWEEP_DIGESTS = {
     "sweep 0": (0, "6830b2b4dc2ce88f796ce729ee8a64727ecc06ce9219dfadcc925f0733f96bb0"),
@@ -998,6 +1023,19 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["dimension"] == 3
+
+
+def test_reader_closing_stdout_early_exits_two_quietly():
+    # `sweep 4` writes about 128 KB, more than a pipe holds, so it is still
+    # writing when the reader goes away after 50 bytes.
+    proc = subprocess.Popen([sys.executable, "-m", "majdim.cli", "sweep", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert b"Traceback" not in err, err.decode()
 
 
 def _every_command_parser(description):

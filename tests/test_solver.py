@@ -41,7 +41,7 @@ from majdim import deciders
 from majdim.cli import _sweep_rows
 from majdim.deciders import _obstructions, induced_copy
 from majdim.digraph import bits
-from majdim.solver import _first_orbit, _plan, _Space, _space_for
+from majdim.solver import _first_orbit, _plan, _Space, _space_fits, _space_for
 from helpers import (
     all_labeled_digraphs,
     brute_canonical_code,
@@ -932,8 +932,8 @@ def _matching(n):
 
 def test_space_beyond_size_limit_is_a_bounds_verdict():
     # The matching plus a directed two-path 2001 -> 2002 -> 2003 is
-    # intransitive, which excludes d = 2; the d = 3 space holds
-    # 2004^3 > 4,000,000 vectors, and the ceiling is 4.
+    # intransitive, which excludes d = 2; the d = 3 space of 2004^3
+    # vectors is too large to build, and the ceiling is 4.
     D = Digraph(2004, _matching(2001).arcs | {(2001, 2002), (2002, 2003)})
     start = time.perf_counter()
     res = dimension(D)
@@ -950,6 +950,20 @@ def test_matching_beyond_size_limit_is_two_by_ceiling():
     assert res.dimension == 2
     assert res.per_d[-1][1].reason == "ceiling"
     assert res.per_d[-1][1].nodes_explored == 0
+
+
+def test_space_is_sized_by_the_bits_it_builds():
+    # A million vectors at d = 2, but 2 * 2 * 1001 masks of a million bits
+    # each: about 500 MB before the first node.
+    start = time.perf_counter()
+    res = is_realizable(single_arc(1000), 2, budget=100)
+    assert time.perf_counter() - start < 1.0
+    assert res == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
+
+
+@pytest.mark.parametrize("d, largest", [(1, 8191), (2, 322), (3, 68), (4, 27), (5, 15), (6, 10)])
+def test_largest_space_searched_at_each_dimension(d, largest):
+    assert _space_fits(largest, d) and not _space_fits(largest + 1, d)
 
 
 def test_solver_runs_without_numpy():
