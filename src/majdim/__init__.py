@@ -11,15 +11,9 @@ the correspondence with voting profiles and majority margins.
 """
 
 from .digraph import (
-    AntiparallelPair,
-    BadParams,
     CondensationResult,
     Digraph,
     DigraphError,
-    DuplicateArc,
-    EdgeListError,
-    Loop,
-    VertexOutOfRange,
     acyclic_tournament,
     build,
     condense,
@@ -41,9 +35,6 @@ from .digraph import (
     to_edge_list,
 )
 from .realizer import (
-    BadDimension,
-    DimensionMismatch,
-    MissingVertex,
     Realizer,
     RealizerError,
     SelfCheckFailed,
@@ -58,16 +49,8 @@ from .realizer import (
     verify,
 )
 from .constructions import (
-    BadBase,
-    ClassMismatch,
     ConstructionError,
     CycleMatrix,
-    HasCycle,
-    NotEmpty,
-    NotIncomparable,
-    NotTournament,
-    TooFewParts,
-    WouldBreakSimplicity,
     add_arc_realizer,
     arc_cover,
     check_cycle_matrix,
@@ -83,9 +66,8 @@ from .constructions import (
 )
 from .solver import (
     DEFAULT_BUDGET,
-    BadPoint,
     DimensionResult,
-    EmptyInput,
+    PointError,
     SolveOutcome,
     Verdict,
     dimension,
@@ -95,8 +77,6 @@ from .solver import (
 from .profiles import (
     Profile,
     ProfileError,
-    UnknownAlternative,
-    ZeroDimension,
     majority_digraph,
     majority_margin,
     majority_margins,

@@ -34,7 +34,6 @@ from .digraph import (
     FAMILIES,
     Digraph,
     DigraphError,
-    EdgeListError,
     build,
     condense,
     disjoint_union,
@@ -90,8 +89,7 @@ def _load(path_str: str, parse):
     which become a ParseError naming the file."""
     try:
         return parse(_read(path_str))
-    except (EdgeListError, DigraphError, json.JSONDecodeError, RealizerError,
-            profiles.ProfileError) as exc:
+    except (DigraphError, json.JSONDecodeError, RealizerError, profiles.ProfileError) as exc:
         raise ParseError(f"{path_str}: {exc}")
 
 
@@ -475,7 +473,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, DigraphError, RealizerError, constructions.ConstructionError,
-            profiles.ProfileError, solver.EmptyInput) as exc:
+            profiles.ProfileError, solver.PointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .digraph import (
-    BadParams,
     CondensationResult,
     Digraph,
+    DigraphError,
     bits,
     condense,
     cycle,
@@ -23,46 +23,16 @@ from .realizer import Realizer, margin, verify
 
 
 class ConstructionError(ValueError):
-    """A construction's precondition does not hold."""
-
-
-class NotEmpty(ConstructionError):
-    """Digraph has arcs where an empty one is required."""
-
-
-class NotTournament(ConstructionError):
-    """Some vertex pair is non-adjacent."""
-
-
-class HasCycle(ConstructionError):
-    """Tournament contains a directed cycle."""
-
-
-class BadBase(ConstructionError):
-    """Supplied realizer does not verify against its base digraph."""
-
-
-class NotIncomparable(ConstructionError):
-    """Arc endpoints are already adjacent in the base digraph."""
-
-
-class WouldBreakSimplicity(ConstructionError):
-    """Adding the arc would create a loop or an antiparallel pair."""
-
-
-class TooFewParts(ConstructionError):
-    """Disjoint-union construction needs at least two parts."""
-
-
-class ClassMismatch(ConstructionError):
-    """Condensation data does not describe the given digraph."""
+    """A construction's precondition does not hold: the digraph is not of the
+    required kind, a supplied realizer does not verify against its digraph,
+    or the operands do not fit together."""
 
 
 def realize_empty(D: Digraph) -> Realizer:
     """Dimension-0 realizer of an arcless digraph: every vertex is the
     single point of the 0-dimensional space and all margins are 0."""
     if D.arcs:
-        raise NotEmpty(f"digraph has {len(D.arcs)} arcs")
+        raise ConstructionError(f"digraph has {len(D.arcs)} arcs")
     return Realizer(0, {v: () for v in range(D.n)})
 
 
@@ -73,10 +43,10 @@ def realize_acyclic_tournament(D: Digraph) -> Realizer:
     vertex to out-degree + 1 orders the line exactly like the arcs.
     """
     if not is_tournament(D):
-        raise NotTournament(f"{D.n} vertices need {D.n * (D.n - 1) // 2} arcs")
+        raise ConstructionError(f"{D.n} vertices need {D.n * (D.n - 1) // 2} arcs")
     degs = [row.bit_count() for row in D.out]
     if sorted(degs) != list(range(D.n)):
-        raise HasCycle("tournament out-degrees are not pairwise distinct")
+        raise ConstructionError("tournament out-degrees are not pairwise distinct")
     return Realizer(1, {v: (degs[v] + 1,) for v in range(D.n)})
 
 
@@ -99,18 +69,18 @@ def add_arc_realizer(D_minus: Digraph, f: Realizer, arc: tuple[int, int]) -> Rea
     changes, from 0 to +1.  When D_minus has no arcs the base coordinates
     are dropped and the two fresh coordinates (_FIRST_ARC_COLUMNS) alone
     realize the single-arc digraph.
+
+    The extended Digraph is built to check the arc: a loop, an endpoint
+    that is not an `int` in 0..n-1, or the reverse of an arc of D_minus
+    raises DigraphError, and an arc D_minus already has raises
+    ConstructionError.
     """
+    Digraph(D_minus.n, [*D_minus.arcs, arc])
     u, v = arc
-    if u == v:
-        raise WouldBreakSimplicity(f"arc ({u}, {v}) is a loop")
-    if not (0 <= u < D_minus.n and 0 <= v < D_minus.n):
-        raise BadParams(f"arc ({u}, {v}) outside 0..{D_minus.n - 1}")
-    if (v, u) in D_minus.arcs:
-        raise WouldBreakSimplicity(f"({v}, {u}) already present")
     if (u, v) in D_minus.arcs:
-        raise NotIncomparable(f"({u}, {v}) already an arc of the base")
+        raise ConstructionError(f"({u}, {v}) already an arc of the base")
     if not verify(D_minus, f).valid:
-        raise BadBase("realizer does not verify against the base digraph")
+        raise ConstructionError("realizer does not verify against the base digraph")
     if D_minus.arcs:
         d, base, columns = f.d + 2, f.vertex_vectors(D_minus.n), _LATER_ARC_COLUMNS
     else:
@@ -138,10 +108,10 @@ def union_realizer(parts: list[tuple[Digraph, Realizer]]) -> Realizer:
     """
     parts = list(parts)
     if len(parts) < 2:
-        raise TooFewParts(f"need at least 2 parts, got {len(parts)}")
+        raise ConstructionError(f"need at least 2 parts, got {len(parts)}")
     for D_i, f_i in parts:
         if not verify(D_i, f_i).valid:
-            raise BadBase("part realizer does not verify against its digraph")
+            raise ConstructionError("part realizer does not verify against its digraph")
 
     offsets = list(accumulate((D_i.n for D_i, _ in parts), initial=0))
     first = max(range(len(parts)), key=lambda p: parts[p][1].d)
@@ -172,9 +142,9 @@ def condense_lift(D: Digraph, cr: CondensationResult, f_star: Realizer) -> Reali
     assigning every vertex its class representative's vector realizes D.
     """
     if condense(D) != cr:
-        raise ClassMismatch("condensation data does not match the digraph")
+        raise ConstructionError("condensation data does not match the digraph")
     if not verify(cr.condensed, f_star).valid:
-        raise BadBase("realizer does not verify against the condensed digraph")
+        raise ConstructionError("realizer does not verify against the condensed digraph")
     vecs = f_star.vertex_vectors(cr.condensed.n)
     return Realizer(f_star.d, {v: vecs[cr.class_of[v]] for v in range(D.n)})
 
@@ -196,7 +166,7 @@ def realize_path(n: int) -> Realizer:
     of the (n + 1)-cycle matrix, `_cycle_rows(n + 1)`.
     """
     if type(n) is not int or n < 1:
-        raise BadParams(f"realize_path({n!r})")
+        raise DigraphError(f"realize_path({n!r})")
     if n == 1:
         return Realizer(0, {0: ()})
     if n == 2:
@@ -319,7 +289,7 @@ def cycle_matrix(n: int) -> CycleMatrix:
     matrix conditions are re-checked on construction.
     """
     if type(n) is not int or n < 4:
-        raise BadParams(f"cycle_matrix({n!r}): need n >= 4")
+        raise DigraphError(f"cycle_matrix({n!r}): need n >= 4")
     return CycleMatrix(n, _cycle_rows(n))
 
 
@@ -335,7 +305,7 @@ def realize_cycle(n: int) -> Realizer:
     realizer compares each pair once.
     """
     if type(n) is not int or n < 3:
-        raise BadParams(f"realize_cycle({n!r}): need n >= 3")
+        raise DigraphError(f"realize_cycle({n!r}): need n >= 3")
     if n == 3:
         return Realizer(3, {0: (1, 2, 3), 1: (3, 1, 2), 2: (2, 3, 1)})
     if n == 4:

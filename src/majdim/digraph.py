@@ -23,31 +23,9 @@ from functools import cached_property
 
 
 class DigraphError(ValueError):
-    """An arc set violates the simple-underlying-graph invariants."""
-
-
-class Loop(DigraphError):
-    """Arc (v, v)."""
-
-
-class AntiparallelPair(DigraphError):
-    """Both (u, v) and (v, u) present."""
-
-
-class VertexOutOfRange(DigraphError):
-    """Arc endpoint outside 0..n-1."""
-
-
-class DuplicateArc(DigraphError):
-    """The same arc listed twice."""
-
-
-class BadParams(DigraphError):
-    """Family generator called with parameters outside its domain."""
-
-
-class EdgeListError(ValueError):
-    """Malformed edge-list text."""
+    """Invalid digraph input: an arc set that breaks the simple-underlying-graph
+    invariants, a family parameter outside its domain, or malformed
+    edge-list text."""
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -106,16 +84,16 @@ class Digraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", frozenset(_arc_pair(arc) for arc in self.arcs))
         if type(self.n) is not int or self.n < 0:
-            raise BadParams(f"vertex count must be a nonnegative integer, got {self.n!r}")
+            raise DigraphError(f"vertex count must be a nonnegative integer, got {self.n!r}")
         for u, v in self.arcs:
             if type(u) is not int or type(v) is not int:
                 raise DigraphError(f"arc ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
-                raise Loop(f"loop at vertex {u}")
+                raise DigraphError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise VertexOutOfRange(f"arc ({u}, {v}) outside 0..{self.n - 1}")
+                raise DigraphError(f"arc ({u}, {v}) outside 0..{self.n - 1}")
             if (v, u) in self.arcs:
-                raise AntiparallelPair(f"both ({u}, {v}) and ({v}, {u}) present")
+                raise DigraphError(f"both ({u}, {v}) and ({v}, {u}) present")
 
     @cached_property
     def out(self) -> tuple[int, ...]:
@@ -144,7 +122,7 @@ def build(n: int, arcs: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> 
     for arc in arcs:
         pair = _arc_pair(arc)
         if pair in seen:
-            raise DuplicateArc(f"arc {pair} listed twice")
+            raise DigraphError(f"arc {pair} listed twice")
         seen.add(pair)
     return Digraph(n, frozenset(seen))
 
@@ -195,7 +173,7 @@ def induced(D: Digraph, S) -> Digraph:
         if type(v) is not int:
             raise DigraphError(f"vertex {v!r} is not an integer")
         if not (0 <= v < D.n):
-            raise VertexOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
+            raise DigraphError(f"vertex {v} outside 0..{D.n - 1}")
     vs = sorted(set(S))
     pos = {v: i for i, v in enumerate(vs)}
     arcs = frozenset(
@@ -251,39 +229,41 @@ def disjoint_union(parts: list[Digraph] | tuple[Digraph, ...]) -> Digraph:
 
 
 # --- named families -------------------------------------------------------
+#
+# Parameters must be `int`; floats, strings and booleans raise DigraphError.
 
 
 def empty(n: int) -> Digraph:
-    if n < 0:
-        raise BadParams(f"empty({n})")
+    if type(n) is not int or n < 0:
+        raise DigraphError(f"empty({n!r})")
     return Digraph(n, frozenset())
 
 
 def path(n: int) -> Digraph:
     """Directed path v_0 -> v_1 -> ... -> v_{n-1}."""
-    if n < 1:
-        raise BadParams(f"path({n})")
+    if type(n) is not int or n < 1:
+        raise DigraphError(f"path({n!r})")
     return Digraph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Digraph:
     """Directed cycle v_0 -> v_1 -> ... -> v_{n-1} -> v_0."""
-    if n < 3:
-        raise BadParams(f"cycle({n}): length must be at least 3")
+    if type(n) is not int or n < 3:
+        raise DigraphError(f"cycle({n!r}): length must be at least 3")
     return Digraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
 def acyclic_tournament(n: int) -> Digraph:
     """Transitive tournament in which higher-indexed vertices beat lower."""
-    if n < 1:
-        raise BadParams(f"acyclic_tournament({n})")
+    if type(n) is not int or n < 1:
+        raise DigraphError(f"acyclic_tournament({n!r})")
     return Digraph(n, frozenset((j, i) for j in range(n) for i in range(j)))
 
 
 def single_arc(n: int) -> Digraph:
     """One arc 0 -> 1 plus n - 2 isolated vertices."""
-    if n < 2:
-        raise BadParams(f"single_arc({n}): needs at least 2 vertices")
+    if type(n) is not int or n < 2:
+        raise DigraphError(f"single_arc({n!r}): needs at least 2 vertices")
     return Digraph(n, frozenset({(0, 1)}))
 
 
@@ -295,8 +275,8 @@ def subset_family(r: int, d: int) -> Digraph:
     containing it, so no vertex has both in- and out-arcs and the digraph
     is vacuously transitive.
     """
-    if d < 0 or r < d + 1:
-        raise BadParams(f"subset_family({r}, {d}): needs r >= d + 1 >= 1")
+    if type(r) is not int or type(d) is not int or d < 0 or r < d + 1:
+        raise DigraphError(f"subset_family({r!r}, {d!r}): needs r >= d + 1 >= 1")
     arcs: set[tuple[int, int]] = set()
     for j, S in enumerate(itertools.combinations(range(1, r + 1), d + 1)):
         for i in S:
@@ -321,9 +301,9 @@ def generate(kind: str, *params: int) -> Digraph:
     try:
         fn, arity = FAMILIES[kind]
     except KeyError:
-        raise BadParams(f"unknown family {kind!r}; choose from {sorted(FAMILIES)}")
+        raise DigraphError(f"unknown family {kind!r}; choose from {sorted(FAMILIES)}")
     if len(params) != arity:
-        raise BadParams(f"family {kind} takes {arity} parameter(s), got {len(params)}")
+        raise DigraphError(f"family {kind} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
 
 
@@ -343,20 +323,20 @@ def from_edge_list(text: str) -> Digraph:
         fields = line.split()
         if n is None:
             if len(fields) != 1:
-                raise EdgeListError(f"line {lineno}: expected vertex count, got {raw!r}")
+                raise DigraphError(f"line {lineno}: expected vertex count, got {raw!r}")
             try:
                 n = parse_int(fields[0])
             except ValueError:
-                raise EdgeListError(f"line {lineno}: bad vertex count {fields[0]!r}")
+                raise DigraphError(f"line {lineno}: bad vertex count {fields[0]!r}")
             continue
         if len(fields) != 2:
-            raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise DigraphError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
             arcs.append((parse_int(fields[0]), parse_int(fields[1])))
         except ValueError:
-            raise EdgeListError(f"line {lineno}: bad arc {raw!r}")
+            raise DigraphError(f"line {lineno}: bad arc {raw!r}")
     if n is None:
-        raise EdgeListError("empty edge list: missing vertex count")
+        raise DigraphError("empty edge list: missing vertex count")
     return build(n, arcs)
 
 

@@ -19,19 +19,12 @@ import sys
 from dataclasses import dataclass
 
 from .digraph import Digraph, bits
-from .realizer import MissingVertex, Realizer, lane_signs, margin, margin_lanes, strict_json_loads
+from .realizer import Realizer, RealizerError, lane_signs, margin, margin_lanes, strict_json_loads
 
 
 class ProfileError(ValueError):
-    """Invalid profile data."""
-
-
-class UnknownAlternative(ProfileError):
-    """Alternative index outside 0..m-1."""
-
-
-class ZeroDimension(ProfileError):
-    """A 0-dimensional realizer has no voters to extract."""
+    """Invalid profile data: a bad alternative count or rank, an alternative
+    outside 0..m-1, or a realizer that gives no profile."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ def majority_margin(R: Profile, a: int, b: int) -> int:
     margin of a's ranks over b's, read voter by voter."""
     m = R.alternatives
     if not (0 <= a < m and 0 <= b < m):
-        raise UnknownAlternative(f"alternatives must lie in 0..{m - 1}")
+        raise ProfileError(f"alternatives must lie in 0..{m - 1}")
     return margin([voter[a] for voter in R.voters], [voter[b] for voter in R.voters])
 
 
@@ -120,11 +113,11 @@ def realizer_to_profile(f: Realizer) -> Profile:
     vertices 0..m-1; a realizer without vertices gives d empty voters.
     """
     if f.d == 0:
-        raise ZeroDimension("a 0-dimensional realizer induces no voters")
+        raise ProfileError("a 0-dimensional realizer induces no voters")
     m = len(f.vectors)
     try:
         vecs = f.vertex_vectors(m)
-    except MissingVertex:
+    except RealizerError:
         raise ProfileError("realizer vertices must be exactly 0..m-1") from None
     return Profile(m, tuple(zip(*vecs)) if vecs else ((),) * f.d)
 

@@ -30,25 +30,14 @@ from .digraph import Digraph, bits
 
 
 class RealizerError(ValueError):
-    """Invalid realizer data or incompatible operands."""
-
-
-class DimensionMismatch(RealizerError):
-    """Vectors of different lengths compared or stored together."""
-
-
-class MissingVertex(RealizerError):
-    """Realizer lacks a vector for some vertex of the target digraph."""
-
-
-class BadDimension(RealizerError):
-    """Requested an extension to fewer dimensions than the realizer has."""
+    """Invalid realizer data or incompatible operands: vectors of different
+    lengths, a missing vertex, or a dimension out of range."""
 
 
 def margin(x: Sequence[int], y: Sequence[int]) -> int:
     """#{i : x_i > y_i} - #{i : y_i > x_i}; positive means x beats y."""
     if len(x) != len(y):
-        raise DimensionMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
+        raise RealizerError(f"vector lengths differ: {len(x)} vs {len(y)}")
     wins = 0
     losses = 0
     for a, b in zip(x, y):
@@ -75,15 +64,15 @@ class Realizer:
         if type(self.d) is not int:
             raise RealizerError(f"dimension must be an integer, got {self.d!r}")
         if self.d < 0:
-            raise BadDimension(f"dimension must be nonnegative, got {self.d}")
+            raise RealizerError(f"dimension must be nonnegative, got {self.d}")
         if self.d > sys.maxsize:
-            raise BadDimension(f"dimension {self.d} exceeds sys.maxsize")
+            raise RealizerError(f"dimension {self.d} exceeds sys.maxsize")
         vecs = {v: tuple(vec) for v, vec in self.vectors.items()}
         for v, vec in vecs.items():
             if type(v) is not int or any(type(c) is not int for c in vec):
                 raise RealizerError(f"vertex {v!r} has a non-integer key or coordinate: {vec!r}")
             if len(vec) != self.d:
-                raise DimensionMismatch(
+                raise RealizerError(
                     f"vertex {v} has a {len(vec)}-vector in a d={self.d} realizer"
                 )
         object.__setattr__(self, "vectors", vecs)
@@ -93,12 +82,12 @@ class Realizer:
 
         This is how every consumer reads a realizer of an n-vertex
         digraph: keys outside 0..n-1 are ignored, and the first vertex
-        without a vector raises MissingVertex.
+        without a vector raises RealizerError.
         """
         try:
             return [self.vectors[v] for v in range(n)]
         except KeyError as exc:
-            raise MissingVertex(f"no vector for vertex {exc.args[0]}") from None
+            raise RealizerError(f"no vector for vertex {exc.args[0]}") from None
 
 
 class Violation(NamedTuple):
@@ -131,7 +120,7 @@ def margin_lanes(vectors: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """
     lengths = set(map(len, vectors))
     if len(lengths) > 1:
-        raise DimensionMismatch(f"vector lengths differ: {sorted(lengths)}")
+        raise RealizerError(f"vector lengths differ: {sorted(lengths)}")
     d = lengths.pop() if lengths else 0
     w = (2 * d).bit_length() + 1
     units = [1 << v * w for v in range(len(vectors))]
@@ -239,7 +228,7 @@ def extend_dims(f: Realizer, r: int) -> Realizer:
     win set and all margins are unchanged.
     """
     if r < f.d:
-        raise BadDimension(f"cannot extend d={f.d} realizer down to {r}")
+        raise RealizerError(f"cannot extend d={f.d} realizer down to {r}")
     if r == f.d:
         return f
     pad = (0,) * (r - f.d)

@@ -133,12 +133,9 @@ from .realizer import Realizer, verified
 DEFAULT_BUDGET = 10_000_000
 
 
-class EmptyInput(ValueError):
-    """Point set is empty."""
-
-
-class BadPoint(ValueError):
-    """A point is not a pair of int coordinates."""
+class PointError(ValueError):
+    """Invalid point input: an empty set, or a point that is not a pair of
+    int coordinates."""
 
 
 class _OutOfBudget(Exception):
@@ -367,14 +364,21 @@ def _check_count(name: str, value) -> None:
 def _space_fits(nranks: int, d: int) -> bool:
     """Whether the search may build _Space(nranks, d).
 
-    The space holds 2 * d * (nranks + 1) coordinate masks of nranks^d bits
-    each and one value set of d * (nranks + 1) bits per vector, so both
-    grow as d * (nranks + 1) * nranks^d bits, which this caps at 2^26.
-    At the cap a space of a million vectors (nranks 10, d 6) peaks at
-    about 190 MB on Python 3.11, most of it the per-vector tuples and
-    ints.
+    With N = nranks^d vectors, the space holds 2 * d * (nranks + 1)
+    coordinate masks of N bits each, one value set of d * (nranks + 1)
+    bits and one tuple of d slots per vector.  The masks and value sets
+    both grow as d * (nranks + 1) * N bits, which this caps at 2^26, and
+    the tuples as d * N slots, which it caps at 2^23 (64 MB of slots).  The
+    d column fields of the value sets are ints of up to d * (nranks + 1)
+    bits, about d^2 * (nranks + 1) / 2 bits in all, more than the masks
+    only where N < d, at nranks 1; N is counted as at least d to cover
+    them.  The largest space admitted, a million vectors at nranks 10 and
+    d 6, peaks at about 193 MB on Python 3.11, most of it the per-vector
+    tuples and ints; at nranks 2 the tuples stop d at 18 (90 MB), where
+    d = 20 would take 334 MB.
     """
-    return d * (nranks + 1) * nranks**d <= 2**26
+    size = d * max(nranks**d, d)
+    return size * (nranks + 1) <= 2**26 and size <= 2**23
 
 
 _space_for = lru_cache(maxsize=32)(_Space)
@@ -383,35 +387,22 @@ _space_for = lru_cache(maxsize=32)(_Space)
 def _first_orbit(D: Digraph, first: int) -> tuple[int, ...]:
     """Vertices w != first that an automorphism of D is shown to map first to.
 
-    A vertex's profile is its (out-degree, in-degree) together with the
-    multisets of that pair over its out-neighbours and over its
-    in-neighbours.  Each w with first's profile gets one run of the
-    induced subdigraph matcher from D to itself with first pinned to w,
-    capped at n^2 matcher nodes.  An automorphism keeps every degree and
-    maps first's out- and in-neighbours onto those of its image, so it
-    keeps the profile, and a w with another profile is no image.  A copy
-    of D on all its n vertices is an automorphism s, and s, s^2, ... carry
-    first around its whole cycle of s, so that cycle joins the orbit at
-    once.  A run the cap cuts short leaves w out: the orbit rule needs
-    every vertex kept to be an image, not every image kept.
+    Each w with first's out- and in-degree gets one run of the induced
+    subdigraph matcher from D to itself with first pinned to w, capped at
+    n^2 matcher nodes; an automorphism keeps every degree, so a w with
+    other degrees is no image.  A copy of D on all its n vertices is an
+    automorphism s, and s, s^2, ... carry first around its whole cycle of
+    s, so that cycle joins the orbit at once.  A run the cap cuts short
+    leaves w out: the orbit rule needs every vertex kept to be an image,
+    not every image kept.
     """
-    n, out, into = D.n, D.out, D.into
-    degree = [(o.bit_count(), i.bit_count()) for o, i in zip(out, into)]
-
-    def profile(v: int):
-        return (sorted([degree[t] for t in bits(out[v])]),
-                sorted([degree[t] for t in bits(into[v])]))
-
-    root = profile(first)
-    alike = [w for w in range(n)
-             if w != first and degree[w] == degree[first] and profile(w) == root]
-    if not alike:
-        return ()
     from .deciders import induced_copy
 
+    n = D.n
+    degree = [(o.bit_count(), i.bit_count()) for o, i in zip(D.out, D.into)]
     orbit: set[int] = set()
-    for w in alike:
-        if w in orbit:
+    for w in range(n):
+        if w == first or w in orbit or degree[w] != degree[first]:
             continue
         sigma, _, _ = induced_copy(D, D, n * n, pin=(first, w))
         if sigma is not None:
@@ -591,13 +582,13 @@ def dimension(
 
 
 def _point(p) -> tuple[int, int]:
-    """The point as an (x, y) tuple; floats, strings and booleans raise BadPoint."""
+    """The point as an (x, y) tuple; floats, strings and booleans raise PointError."""
     try:
         x, y = p
     except (TypeError, ValueError):
-        raise BadPoint(f"point {p!r} is not a pair of coordinates")
+        raise PointError(f"point {p!r} is not a pair of coordinates")
     if type(x) is not int or type(y) is not int:
-        raise BadPoint(f"point {p!r} has a non-integer coordinate")
+        raise PointError(f"point {p!r} has a non-integer coordinate")
     return x, y
 
 
@@ -621,12 +612,12 @@ def es_chain_or_antichain(points) -> tuple[str, list[tuple[int, int]]]:
     pile.  The antichain is the first longest pile, a height level, which
     is an antichain because a dominated point always has a smaller height.
     Among m >= k^2 + 1 points one of the two has size >= k + 1.  A point
-    that is not a pair of `int` coordinates raises BadPoint instead of
-    being coerced.
+    that is not a pair of `int` coordinates raises PointError instead of
+    being coerced, and so does an empty point set.
     """
     pts = [_point(p) for p in points]
     if not pts:
-        raise EmptyInput("no points given")
+        raise PointError("no points given")
     pts.sort()
     tails: list[int] = []
     piles: list[list[int]] = []  # piles[h]: indices of the height h + 1 points

@@ -86,26 +86,6 @@ def brute_orbit(D, v):
     } - {v}
 
 
-def unfiltered_orbit(D, first):
-    """The first-vertex orbit scan without the neighbour-profile prefilter:
-    one capped matcher run per vertex with first's out- and in-degree."""
-    from majdim.deciders import induced_copy
-
-    def degree(v):
-        return sum(a == v for a, _ in D.arcs), sum(b == v for _, b in D.arcs)
-
-    orbit = set()
-    for w in range(D.n):
-        if w == first or w in orbit or degree(w) != degree(first):
-            continue
-        sigma, _, _ = induced_copy(D, D, D.n * D.n, pin=(first, w))
-        if sigma is not None:
-            while w != first:
-                orbit.add(w)
-                w = sigma[w]
-    return tuple(sorted(orbit))
-
-
 def cyclic_tournament(n):
     """For odd n, vertex i beats i + 1, ..., i + (n - 1) / 2 mod n: a
     tournament whose rotations are automorphisms."""

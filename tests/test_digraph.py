@@ -1,17 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from majdim import (
-    AntiparallelPair,
-    BadParams,
     Digraph,
     DigraphError,
-    DuplicateArc,
-    EdgeListError,
-    Loop,
-    VertexOutOfRange,
     acyclic_tournament,
     build,
     condense,
@@ -32,7 +27,7 @@ from majdim import (
     to_dot,
     to_edge_list,
 )
-from majdim.digraph import parse_int
+from majdim.digraph import FAMILIES, parse_int
 from helpers import (
     all_labeled_digraphs,
     naive_condense,
@@ -52,22 +47,22 @@ def test_build_path():
 
 
 def test_build_rejects_antiparallel():
-    with pytest.raises(AntiparallelPair):
+    with pytest.raises(DigraphError, match=r"^both \((0, 1|1, 0)\) and \((1, 0|0, 1)\) present$"):
         build(2, [(0, 1), (1, 0)])
 
 
 def test_build_rejects_loop():
-    with pytest.raises(Loop):
+    with pytest.raises(DigraphError, match="^loop at vertex 0$"):
         build(1, [(0, 0)])
 
 
 def test_build_rejects_out_of_range():
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(DigraphError, match=r"^arc \(0, 2\) outside 0\.\.1$"):
         build(2, [(0, 2)])
 
 
 def test_build_rejects_duplicates():
-    with pytest.raises(DuplicateArc):
+    with pytest.raises(DigraphError, match=r"^arc \(0, 1\) listed twice$"):
         build(3, [(0, 1), (0, 1)])
 
 
@@ -89,7 +84,7 @@ def test_arcs_that_are_not_pairs_rejected(arc):
 
 @pytest.mark.parametrize("n", [2.0, True, "3"])
 def test_non_integer_vertex_count_rejected(n):
-    with pytest.raises(BadParams):
+    with pytest.raises(DigraphError, match="^vertex count must be a nonnegative integer, got "):
         Digraph(n, frozenset())
 
 
@@ -192,7 +187,7 @@ def test_induced_examples():
     assert induced(TT3, {0, 2}).arcs == {(0, 1)}
     assert induced(cycle(4), {0, 1, 2}).arcs == {(0, 1), (1, 2)}
     assert induced(TT3, range(3)) == TT3
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(DigraphError, match=r"^vertex 7 outside 0\.\.2$"):
         induced(TT3, {0, 7})
 
 
@@ -274,18 +269,39 @@ def test_subset_family_vacuously_transitive(r, d):
 
 
 def test_family_bad_params():
-    for bad in (lambda: cycle(2), lambda: path(0), lambda: single_arc(1),
-                lambda: subset_family(1, 1), lambda: empty(-1)):
-        with pytest.raises(BadParams):
-            bad()
+    for fn, params, message in [
+            (cycle, (2,), "cycle(2): length must be at least 3"),
+            (path, (0,), "path(0)"),
+            (single_arc, (1,), "single_arc(1): needs at least 2 vertices"),
+            (subset_family, (1, 1), "subset_family(1, 1): needs r >= d + 1 >= 1"),
+            (empty, (-1,), "empty(-1)")]:
+        with pytest.raises(DigraphError, match=f"^{re.escape(message)}$"):
+            fn(*params)
+
+
+@pytest.mark.parametrize("bad", [True, 3.0])
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_rejects_non_integer_params(kind, bad):
+    # A bool or float is refused, never read as an int, in each parameter
+    # place in turn, the others valid.
+    fn, arity = FAMILIES[kind]
+    valid = (3, 1)[:arity]
+    for i in range(arity):
+        params = (*valid[:i], bad, *valid[i + 1:])
+        with pytest.raises(DigraphError, match=re.escape(repr(bad))):
+            fn(*params)
 
 
 def test_generate_dispatch():
     assert generate("path", 3) == path(3)
     assert generate("tournament", 3) == acyclic_tournament(3)
     assert generate("subset-family", 3, 1) == subset_family(3, 1)
-    for kind, params in [("widget", (3,)), ("path", (1, 2)), ("subset-family", (3,)), ("empty", ())]:
-        with pytest.raises(BadParams):
+    for kind, params, message in [
+            ("widget", (3,), "unknown family 'widget'; choose from "),
+            ("path", (1, 2), "family path takes 1 parameter(s), got 2"),
+            ("subset-family", (3,), "family subset-family takes 2 parameter(s), got 1"),
+            ("empty", (), "family empty takes 1 parameter(s), got 0")]:
+        with pytest.raises(DigraphError, match=f"^{re.escape(message)}"):
             generate(kind, *params)
 
 
@@ -332,21 +348,33 @@ def test_edge_list_comments_and_blanks():
     assert D == path(3)
 
 
-@pytest.mark.parametrize("text", ["", "2\n0 1 2\n", "x\n", "2\n0 one\n"])
+_EDGE_LIST_ERRORS = {
+    "": "empty edge list: missing vertex count",
+    "2\n0 1 2\n": "line 2: expected 'u v', got '0 1 2'",
+    "x\n": "line 1: bad vertex count 'x'",
+    "2\n0 one\n": "line 2: bad arc '0 one'",
+}
+
+
+@pytest.mark.parametrize("text", list(_EDGE_LIST_ERRORS))
 def test_edge_list_errors(text):
-    with pytest.raises(EdgeListError):
+    with pytest.raises(DigraphError, match=f"^{re.escape(_EDGE_LIST_ERRORS[text])}$"):
         from_edge_list(text)
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["1_0\n0 1\n", "\u0663\n0 1\n", "3\n\u0661 2\n", "3\n0 1_0\n", "3\n0 0x1\n",
-     "3\n0 \uff11\n"],
+    "text, message",
+    [("1_0\n0 1\n", "line 1: bad vertex count '1_0'"),
+     ("\u0663\n0 1\n", "line 1: bad vertex count '\u0663'"),
+     ("3\n\u0661 2\n", "line 2: bad arc '\u0661 2'"),
+     ("3\n0 1_0\n", "line 2: bad arc '0 1_0'"),
+     ("3\n0 0x1\n", "line 2: bad arc '0 0x1'"),
+     ("3\n0 \uff11\n", "line 2: bad arc '0 \uff11'")],
     ids=["underscore-count", "arabic-indic-count", "arabic-indic-arc", "underscore-arc",
          "hex-arc", "fullwidth-arc"],
 )
-def test_edge_list_reads_ascii_decimal_only(text):
-    with pytest.raises(EdgeListError):
+def test_edge_list_reads_ascii_decimal_only(text, message):
+    with pytest.raises(DigraphError, match=f"^{re.escape(message)}$"):
         from_edge_list(text)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -11,9 +12,8 @@ import pytest
 
 from majdim import (
     DEFAULT_BUDGET,
-    BadPoint,
     Digraph,
-    EmptyInput,
+    PointError,
     Realizer,
     SolveOutcome,
     Verdict,
@@ -38,7 +38,6 @@ from majdim import (
     verify,
 )
 from majdim import deciders
-from majdim.cli import _sweep_rows
 from majdim.deciders import _obstructions, induced_copy
 from majdim.digraph import bits
 from majdim.solver import _first_orbit, _plan, _Space, _space_fits, _space_for
@@ -56,7 +55,6 @@ from helpers import (
     random_digraph,
     relabeled,
     static_order_search,
-    unfiltered_orbit,
 )
 
 
@@ -413,20 +411,6 @@ def test_first_orbit_matches_brute_force_on_symmetric_and_random_digraphs():
             assert set(_first_orbit(D, v)) == orbit, (D.n, sorted(D.arcs), v)
             moved += bool(orbit)
     assert moved > len(cases)
-
-
-def test_first_orbit_prefilter_drops_no_image():
-    # The neighbour-profile prefilter only saves matcher runs: the scan
-    # finds what it finds without it, on every class with n <= 5 and on
-    # random digraphs up to 7 vertices.  The sweep walk gives one digraph
-    # per class; max_d = 0 keeps its own searches trivial.
-    cases = [_from_code(n, row.digraph_code)
-             for n in range(6) for row in _sweep_rows(n, True, 1, 0)]
-    rng = random.Random(73)
-    cases += [random_digraph(rng, rng.randrange(1, 8)) for _ in range(300)]
-    for D in cases:
-        for v in range(D.n):
-            assert _first_orbit(D, v) == unfiltered_orbit(D, v), (D.n, sorted(D.arcs), v)
 
 
 _KEY_SPACES = [(1, 3), (3, 0), (3, 1), (4, 2), (4, 3), (2, 4)]
@@ -952,13 +936,20 @@ def test_matching_beyond_size_limit_is_two_by_ceiling():
     assert res.per_d[-1][1].nodes_explored == 0
 
 
-def test_space_is_sized_by_the_bits_it_builds():
-    # A million vectors at d = 2, but 2 * 2 * 1001 masks of a million bits
-    # each: about 500 MB before the first node.
-    start = time.perf_counter()
-    res = is_realizable(single_arc(1000), 2, budget=100)
-    assert time.perf_counter() - start < 1.0
-    assert res == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
+def test_space_is_sized_by_the_bits_it_builds(monkeypatch):
+    # single_arc(1000) at d = 2: a million vectors, but 2 * 2 * 1001 masks
+    # of a million bits each, about 500 MB before the first node.
+    # single_arc(2) at d = 20: a million tuples of 20 slots, 334 MB.
+    # Neither space may be built.
+    def never_built(nranks, d):
+        raise AssertionError(f"_Space({nranks}, {d}) was built")
+
+    monkeypatch.setattr("majdim.solver._space_for", never_built)
+    for D, d in [(single_arc(1000), 2), (single_arc(2), 20)]:
+        start = time.perf_counter()
+        res = is_realizable(D, d, budget=100)
+        assert time.perf_counter() - start < 1.0
+        assert res == SolveOutcome(Verdict.BUDGET_EXCEEDED, None, 0)
 
 
 @pytest.mark.parametrize("d, largest", [(1, 8191), (2, 322), (3, 68), (4, 27), (5, 15), (6, 10)])
@@ -993,7 +984,7 @@ def test_es_antichain():
 def test_es_single_point_and_empty():
     kind, witness = es_chain_or_antichain([(7, 9)])
     assert kind == "chain" and witness == [(7, 9)]
-    with pytest.raises(EmptyInput):
+    with pytest.raises(PointError, match="^no points given$"):
         es_chain_or_antichain([])
 
 
@@ -1033,23 +1024,23 @@ def test_es_ties_prefer_chain():
 
 
 @pytest.mark.parametrize(
-    "points",
+    "points, message",
     [
-        [(1.7, 0.2), (True, "3")],
-        [(0, 0), (2.0, 1)],
-        [(0, 0), (1, False)],
-        [(0, 0), ("1", 2)],
-        [(0, 0), (1, None)],
-        [(0, 0), (1, 2, 3)],
-        [(0, 0), (1,)],
-        [(0, 0), 7],
+        ([(1.7, 0.2), (True, "3")], "point (1.7, 0.2) has a non-integer coordinate"),
+        ([(0, 0), (2.0, 1)], "point (2.0, 1) has a non-integer coordinate"),
+        ([(0, 0), (1, False)], "point (1, False) has a non-integer coordinate"),
+        ([(0, 0), ("1", 2)], "point ('1', 2) has a non-integer coordinate"),
+        ([(0, 0), (1, None)], "point (1, None) has a non-integer coordinate"),
+        ([(0, 0), (1, 2, 3)], "point (1, 2, 3) is not a pair of coordinates"),
+        ([(0, 0), (1,)], "point (1,) is not a pair of coordinates"),
+        ([(0, 0), 7], "point 7 is not a pair of coordinates"),
     ],
     ids=["float-and-bool", "float", "bool", "string", "none", "triple", "single", "scalar"],
 )
-def test_es_rejects_points_that_are_not_int_pairs(points):
-    with pytest.raises(BadPoint):
+def test_es_rejects_points_that_are_not_int_pairs(points, message):
+    with pytest.raises(PointError, match=f"^{re.escape(message)}$"):
         es_chain_or_antichain(points)
-    assert issubclass(BadPoint, ValueError)
+    assert issubclass(PointError, ValueError)
 
 
 def test_es_matches_quadratic_dp():
