@@ -23,6 +23,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 from collections import Counter
@@ -35,6 +36,7 @@ from .digraph import (
     Digraph,
     DigraphError,
     build,
+    bits,
     condense,
     disjoint_union,
     from_edge_list,
@@ -227,10 +229,6 @@ class SweepRow(NamedTuple):
     dim1_condensation: bool
 
 
-def _arc_code(arcs) -> str:
-    return ";".join(f"{u}>{v}" for u, v in sorted(arcs))
-
-
 def _sweep_row(D: Digraph, code: str, budget: int, max_d: int | None) -> SweepRow:
     # Search at every d, so the dim0/dim1 summary flags compare the search
     # with the characterizations that `dimension` would otherwise shortcut to.
@@ -260,15 +258,17 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None) -> list[Swe
     One walk over the 3^C states of the C vertex pairs u < v, in
     itertools.product order (0: no arc, 1: u -> v, 2: v -> u).  A state's
     code is its base-3 number with the last pair as the fastest digit, so
-    the codes come in walk order, 0 to 3^C - 1.  Each relabeling p has one
-    table: entry 3 * j + t is what pair j in state t adds to the code of
-    p's image, so an image code is a sum over the arcs.  Above the code
-    bits the same entry adds bit n^2 - 1 - (a * n + b) of an arc-order key
-    for the image arc (a, b).  The walk handles only the first state of
-    each class, in both modes, and the flat list class_of gives all its
-    image codes the class's index; a state whose class is known is
-    skipped.  So the walk keeps one index per state, one row per class and
-    3C entries per relabeling, not the images themselves.
+    the codes come in walk order, 0 to 3^C - 1.  Entry 3 * j + t of
+    relabeling p is what pair j in state t adds to the code of p's image,
+    so an image code is a sum over the arcs.  Above the code bits the same
+    entry adds bit n^2 - 1 - (a * n + b) of an arc-order key for the image
+    arc (a, b).  The entries are kept as columns, column 3 * j + t holding
+    that entry for every relabeling, so one sum per position over a
+    state's columns gives all its image codes at once.  The walk handles
+    only the first state of each class, in both modes, and the flat list
+    class_of gives all its image codes the class's index; a state whose
+    class is known is skipped.  So the walk keeps one index per state, one
+    row per class and 3C entries per relabeling, not the images themselves.
 
     Every field of a row except `digraph_code` is an isomorphism invariant
     (relabeling the vertices of a realizer realizes the relabeled digraph,
@@ -317,36 +317,51 @@ def _sweep_rows(n: int, dedup: bool, budget: int, max_d: int | None) -> list[Swe
     # add[a, b]: the image arc (a, b)'s digit at its pair's place, plus its key bit
     add = {(a, b): (1 + (a > b)) * place[min(a, b), max(a, b)] + (1 << top - a * n - b)
            for a, b in itertools.permutations(range(n), 2)}
-    tables = [[x for u, v in pairs for x in (0, add[p[u], p[v]], add[p[v], p[u]])]
-              for p in itertools.permutations(range(n))]
+    columns = list(zip(*([x for u, v in pairs for x in (0, add[p[u], p[v]], add[p[v], p[u]])]
+                         for p in itertools.permutations(range(n)))))
+    # Entry 3 * j + t of the converse: pair j's arc reversed, unrelabeled.
+    converse = [x for u, v in pairs for x in (0, add[v, u], add[u, v])]
 
     def arcs_of(states):
         return [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
 
+    # An arc code joins the sorted "u>v" labels of the arcs; labels of one
+    # digit sort as their arcs do.  key_labels[i] labels the arc of key bit i.
+    label = {arc: f"{arc[0]}>{arc[1]}" for arc in add}
+    pair_labels = [("", label[u, v], label[v, u]) for u, v in pairs]
+    key_labels = [label.get(divmod(n * n - 1 - i, n)) for i in range(n * n)]
+
+    def code_of(states) -> str:
+        return ";".join(sorted(filter(None, map(operator.getitem, pair_labels, states))))
+
     class_of = [-1] * 3 ** len(pairs)
     rows: list[SweepRow] = []  # one per class, under its first or least code
-    for code, states in enumerate(itertools.product(range(3), repeat=len(pairs))):
-        if class_of[code] >= 0:
-            continue
-        arcs = arcs_of(states)
-        mirror = class_of[sum(add[v, u] for u, v in arcs) & low]
+    # compress reads class_of only when the walk reaches a state, so it
+    # passes over every state that an earlier class has registered.
+    walk = itertools.compress(enumerate(itertools.product(range(3), repeat=len(pairs))),
+                              map((-1).__eq__, class_of))
+    for code, states in walk:
         entries = [3 * j + s for j, s in enumerate(states) if s]
-        images = [sum(map(table.__getitem__, entries)) for table in tables]
-        for image in images:
-            class_of[image & low] = len(rows)
-        key = max(images) >> shift
-        least = [divmod(i, n) for i in range(n * n) if key >> n * n - 1 - i & 1]
-        own = _arc_code(least if dedup else arcs)
+        mirror = class_of[sum(map(converse.__getitem__, entries)) & low]
+        # The arcless state has no columns to sum: its only image is 0.
+        images = list(map(sum, zip(*map(columns.__getitem__, entries)))) or [0]
+        k = len(rows)
+        for image in map(low.__and__, images):
+            class_of[image] = k
+        if dedup:
+            own = ";".join(sorted(map(key_labels.__getitem__, bits(max(images) >> shift))))
+        else:
+            own = code_of(states)
         if mirror < 0:
-            row = _sweep_row(build(n, arcs), own, budget, max_d)
+            row = _sweep_row(build(n, arcs_of(states)), own, budget, max_d)
         elif (row := rows[mirror]).dimension is None:
-            searched = _sweep_row(build(n, arcs), own, budget, max_d)
+            searched = _sweep_row(build(n, arcs_of(states)), own, budget, max_d)
             if searched.dimension is not None:
                 row = rows[mirror] = SweepRow(row.digraph_code, *searched[1:])
         rows.append(SweepRow(own, *row[1:]))
     if dedup:
         return rows
-    return [SweepRow(_arc_code(arcs_of(states)), *rows[k][1:])
+    return [SweepRow(code_of(states), *rows[k][1:])
             for k, states in zip(class_of, itertools.product(range(3), repeat=len(pairs)))]
 
 

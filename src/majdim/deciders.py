@@ -11,7 +11,7 @@ that asks for no dimension never does.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import constructions
 from .digraph import (
@@ -21,6 +21,7 @@ from .digraph import (
     cycle,
     is_acyclic_tournament,
     is_transitive,
+    lazy,
     path,
     subset_family,
 )
@@ -28,13 +29,11 @@ from .realizer import Realizer, verified
 from .solver import Obstruction, SolveOutcome, Verdict, _OutOfBudget, is_realizable
 
 
-@lru_cache(maxsize=1)
 def _degree_groups(D: Digraph) -> dict[tuple[int, int], int]:
     """(out-degree, in-degree) -> the set of D's vertices with it.
 
-    Kept for the last D, which `induced_copy` meets once per pattern.  The
-    bits are set in bytes, since ORing into a growing int would copy it
-    once per vertex.
+    Built once per scan, for all of its matchers.  The bits are set in
+    bytes, since ORing into a growing int would copy it once per vertex.
     """
     groups: dict[tuple[int, int], bytearray] = {}
     for t, key in enumerate(zip(map(int.bit_count, D.out), map(int.bit_count, D.into))):
@@ -55,28 +54,43 @@ def induced_copy(P: Digraph, D: Digraph, budget: int,
     was found.  nodes counts the images tried, at most budget, and
     complete is False when the budget ran out before the answer was
     settled: the image that would pass it raises `solver._OutOfBudget`,
-    which unwinds the recursion and is caught here, never by a caller.
+    which unwinds the recursion and is caught by the matcher, never by a
+    caller.
 
-    P's vertices are placed in a fixed order: next is always the one with
-    the most arcs to those already placed, ties to the higher degree and
-    then to the lower index.  The candidates for the next vertex p are one
-    bitset: the unused vertices of D whose out- and in-degrees are at least
-    p's (an induced copy keeps every arc at a vertex), ANDed with one row
-    per placed vertex q, the in- or out-neighbours of q's image or the
-    complement of both, as p relates to q.  A pin (p, t) places p first,
-    with t as its only candidate; with P = D, a copy is an automorphism
-    mapping p to t.
+    A pin (p, t) places p first, with t as its only candidate; with P = D,
+    a copy is an automorphism mapping p to t.  The matcher itself is
+    `induced_copies`.
     """
-    k, n = P.n, D.n
-    if k > n:
-        return None, 0, True
+    first, target = pin if pin else (None, None)
+    return induced_copies(P, D, first)(budget, target)
+
+
+def induced_copies(P: Digraph, D: Digraph, first: int | None = None,
+                   groups: dict[tuple[int, int], int] | None = None):
+    """The matcher of P into D, set up once: a function find(budget,
+    target=None) that answers like `induced_copy`, with P's vertex first
+    pinned to target when target is given.  groups is D's
+    `_degree_groups`, built here unless the caller passes it.
+
+    P's vertices are placed in a fixed order: first, when given, then
+    always the one with the most arcs to those already placed, ties to the
+    higher degree and then to the lower index.  The candidates for the
+    next vertex p are one bitset: the unused vertices of D whose out- and
+    in-degrees are at least p's (an induced copy keeps every arc at a
+    vertex), ANDed with one row per placed vertex q, the in- or
+    out-neighbours of q's image or the complement of both, as p relates
+    to q.
+    """
+    k = P.n
+    if k > D.n:
+        return lambda budget, target=None: (None, 0, True)
     order: list[int] = []
     adjacent = [out | into for out, into in zip(P.out, P.into)]
     degree = [row.bit_count() for row in adjacent]
     placed = 0
     left = set(range(k))
     while left:
-        p = pin[0] if pin and not order else min(
+        p = first if first is not None and not order else min(
             left, key=lambda v: (-(adjacent[v] & placed).bit_count(), -degree[v], v))
         left.remove(p)
         order.append(p)
@@ -84,42 +98,46 @@ def induced_copy(P: Digraph, D: Digraph, budget: int,
     # relation[i][j] for j < i: 1 if order[i] -> order[j], -1 if the reverse, 0 if apart
     relation = [[(P.out[p] >> q & 1) - (P.into[p] >> q & 1) for q in order[:i]]
                 for i, p in enumerate(order)]
-    groups = _degree_groups(D)
+    if groups is None:
+        groups = _degree_groups(D)
     allowed = [sum(row for (o, i), row in groups.items()
                    if o >= P.out[p].bit_count() and i >= P.into[p].bit_count())
                for p in order]
-    if pin:
-        allowed[0] &= 1 << pin[1]
     out, into = D.out, D.into
-    image = [0] * k
-    nodes = 0
 
-    def place(i: int, used: int) -> bool:
-        nonlocal nodes
-        cand = allowed[i] & ~used
-        for j, r in enumerate(relation[i]):
-            t = image[j]
-            cand &= into[t] if r > 0 else out[t] if r < 0 else ~(out[t] | into[t])
-        while cand:
-            if nodes >= budget:
-                raise _OutOfBudget
-            nodes += 1
-            low = cand & -cand
-            cand ^= low
-            image[i] = low.bit_length() - 1
-            if i + 1 == k or place(i + 1, used | low):
-                return True
-        return False
+    def find(budget: int, target: int | None = None):
+        roots = allowed if target is None else [allowed[0] & 1 << target, *allowed[1:]]
+        image = [0] * k
+        nodes = 0
 
-    try:
-        if k and not place(0, 0):
-            return None, nodes, True
-    except _OutOfBudget:
-        return None, nodes, False
-    embedding = [0] * k
-    for p, t in zip(order, image):
-        embedding[p] = t
-    return tuple(embedding), nodes, True
+        def place(i: int, used: int) -> bool:
+            nonlocal nodes
+            cand = roots[i] & ~used
+            for j, r in enumerate(relation[i]):
+                t = image[j]
+                cand &= into[t] if r > 0 else out[t] if r < 0 else ~(out[t] | into[t])
+            while cand:
+                if nodes >= budget:
+                    raise _OutOfBudget
+                nodes += 1
+                low = cand & -cand
+                cand ^= low
+                image[i] = low.bit_length() - 1
+                if i + 1 == k or place(i + 1, used | low):
+                    return True
+            return False
+
+        try:
+            if k and not place(0, 0):
+                return None, nodes, True
+        except _OutOfBudget:
+            return None, nodes, False
+        embedding = [0] * k
+        for p, t in zip(order, image):
+            embedding[p] = t
+        return tuple(embedding), nodes, True
+
+    return find
 
 
 # The dimension-4 isomorphism classes on 5 vertices other than cycle(5),
@@ -157,8 +175,9 @@ def _find_obstruction(D: Digraph, budget: int) -> tuple[Obstruction | None, int]
     with its dimension.  budget caps the nodes of the whole scan, and
     running out of it finds nothing."""
     spent = 0
+    groups = _degree_groups(D)
     for name, P, k in _obstructions():
-        embedding, nodes, complete = induced_copy(P, D, budget - spent)
+        embedding, nodes, complete = induced_copies(P, D, groups=groups)(budget - spent)
         spent += nodes
         if embedding is not None:
             return Obstruction(name, k, embedding), spent
@@ -211,11 +230,11 @@ class Climb:
         self.budget = budget
         self.scan: tuple[Obstruction | None, int] | None = None
 
-    @cached_property
+    @lazy
     def family(self) -> tuple[Realizer, list[int]] | None:
         return _family_ceiling(self.D)
 
-    @cached_property
+    @lazy
     def forests(self) -> list[list[tuple[int, int, bool]]]:
         return constructions.star_forests(self.D)
 

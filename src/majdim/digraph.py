@@ -8,10 +8,11 @@ needs no coordination.
 
 Adjacency has one representation: `D.out[u]` and `D.into[v]` are the out-
 and in-neighbours as bitsets (Python ints, bit v of out[u] set iff u -> v).
-They are built from the arcs on first use and kept, so a digraph that is
-only printed never allocates them.  The predicates here, `verify` and the
-search all read their neighbourhoods from these rows; `condense` keys each
-vertex by a set built from the arcs instead, as its docstring explains.
+They are built from the arcs on first read and kept (`lazy`), so a
+digraph that is only printed never allocates them.  The predicates here,
+`verify` and the search all read their neighbourhoods from these rows;
+`condense` keys each vertex by a set built from the arcs instead, as its
+docstring explains.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class DigraphError(ValueError):
@@ -53,6 +53,32 @@ def bits(mask: int):
         x = digits.find("1", x + 1)
 
 
+class lazy:
+    """An attribute computed by its function on first read and then kept in
+    the instance's __dict__, where later reads find it directly.
+
+    This is functools.cached_property without the lock that Python 3.11
+    and earlier take on every first read (3.12 dropped it).  It works on
+    frozen dataclasses, whose __setattr__ it never calls.  Two threads
+    that read the attribute for the first time at once may both compute
+    it: the functions it wraps read only state that never changes, so the
+    two values are equal, and the later store wins.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 def _neighbour_rows(n: int, arcs) -> tuple[int, ...]:
     """rows[u] has bit v set for every (u, v) in arcs."""
     rows = [0] * n
@@ -61,46 +87,48 @@ def _neighbour_rows(n: int, arcs) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _arc_pair(arc) -> tuple[int, int]:
-    """The arc as a (u, v) tuple; anything but a pair is a DigraphError."""
-    try:
-        u, v = arc
-    except (TypeError, ValueError):
-        raise DigraphError(f"arc {arc!r} is not a pair of vertices")
-    return u, v
-
-
 @dataclass(frozen=True)
 class Digraph:
     """A digraph on vertices 0..n-1 with a simple underlying graph.
 
     The vertex count and the arc endpoints must be `int`; floats, strings
-    and booleans raise DigraphError rather than being coerced.
+    and booleans raise DigraphError rather than being coerced.  arcs may
+    be given as any iterable of pairs, and is kept as a frozenset of
+    tuples.  One pass over it checks each arc in the order given, before
+    the arc enters the set, so an arc equal to an earlier one only by
+    coercion, such as (True, 0) after (1, 0), is rejected, not merged.
     """
 
     n: int
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", frozenset(_arc_pair(arc) for arc in self.arcs))
-        if type(self.n) is not int or self.n < 0:
-            raise DigraphError(f"vertex count must be a nonnegative integer, got {self.n!r}")
-        for u, v in self.arcs:
+        n = self.n
+        if type(n) is not int or n < 0:
+            raise DigraphError(f"vertex count must be a nonnegative integer, got {n!r}")
+        arcs: set[tuple[int, int]] = set()
+        for arc in self.arcs:
+            try:
+                u, v = arc
+            except (TypeError, ValueError):
+                raise DigraphError(f"arc {arc!r} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
                 raise DigraphError(f"arc ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise DigraphError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DigraphError(f"arc ({u}, {v}) outside 0..{self.n - 1}")
-            if (v, u) in self.arcs:
-                raise DigraphError(f"both ({u}, {v}) and ({v}, {u}) present")
+            if not (0 <= u < n and 0 <= v < n):
+                raise DigraphError(f"arc ({u}, {v}) outside 0..{n - 1}")
+            if (v, u) in arcs:
+                raise DigraphError(f"both ({v}, {u}) and ({u}, {v}) present")
+            arcs.add((u, v))
+        object.__setattr__(self, "arcs", frozenset(arcs))
 
-    @cached_property
+    @lazy
     def out(self) -> tuple[int, ...]:
         """out[u]: bitset of the out-neighbours of u."""
         return _neighbour_rows(self.n, self.arcs)
 
-    @cached_property
+    @lazy
     def into(self) -> tuple[int, ...]:
         """into[v]: bitset of the in-neighbours of v."""
         return _neighbour_rows(self.n, ((v, u) for u, v in self.arcs))
@@ -116,15 +144,18 @@ def build(n: int, arcs: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> 
     """Validate raw input and return a Digraph.
 
     Unlike the Digraph constructor this also rejects duplicate arcs in the
-    input sequence.
+    input sequence.  The constructor checks every arc; a duplicate shows
+    only as a set smaller than the list, and only then is the list walked
+    again to name it.
     """
-    seen: set[tuple[int, int]] = set()
-    for arc in arcs:
-        pair = _arc_pair(arc)
-        if pair in seen:
-            raise DigraphError(f"arc {pair} listed twice")
-        seen.add(pair)
-    return Digraph(n, frozenset(seen))
+    D = Digraph(n, arcs)
+    if len(D.arcs) != len(arcs):
+        seen: set[tuple[int, int]] = set()
+        for u, v in arcs:
+            if (u, v) in seen:
+                raise DigraphError(f"arc {(u, v)} listed twice")
+            seen.add((u, v))
+    return D
 
 
 def is_transitive(D: Digraph) -> bool:
@@ -137,8 +168,9 @@ def induced_two_paths(D: Digraph):
     """Yield every (x, y, z) with arcs x -> y -> z and x, z non-adjacent."""
     out, into = D.out, D.into
     for x, y in D.arcs:  # out[y] never holds x: y -> x would be antiparallel
-        for z in bits(out[y] & ~(out[x] | into[x])):
-            yield x, y, z
+        if ends := out[y] & ~(out[x] | into[x]):
+            for z in bits(ends):
+                yield x, y, z
 
 
 def has_induced_two_path(D: Digraph) -> bool:
@@ -176,10 +208,7 @@ def induced(D: Digraph, S) -> Digraph:
             raise DigraphError(f"vertex {v} outside 0..{D.n - 1}")
     vs = sorted(set(S))
     pos = {v: i for i, v in enumerate(vs)}
-    arcs = frozenset(
-        (pos[u], pos[v]) for u, v in D.arcs if u in pos and v in pos
-    )
-    return Digraph(len(vs), arcs)
+    return Digraph(len(vs), [(pos[u], pos[v]) for u, v in D.arcs if u in pos and v in pos])
 
 
 @dataclass(frozen=True)
@@ -213,8 +242,7 @@ def condense(D: Digraph) -> CondensationResult:
     representative = {v: first.setdefault(frozenset(row), v) for v, row in enumerate(nbrs)}
     rep_index = {r: i for i, r in enumerate(first.values())}
     class_of = {v: rep_index[r] for v, r in representative.items()}
-    arcs = frozenset((rep_index[u], rep_index[v]) for u, v in D.arcs
-                     if u in rep_index and v in rep_index)
+    arcs = [(rep_index[u], rep_index[v]) for u, v in D.arcs if u in rep_index and v in rep_index]
     return CondensationResult(representative, class_of, Digraph(len(rep_index), arcs))
 
 
@@ -225,7 +253,7 @@ def disjoint_union(parts: list[Digraph] | tuple[Digraph, ...]) -> Digraph:
     for part in parts:
         arcs.update((u + offset, v + offset) for u, v in part.arcs)
         offset += part.n
-    return Digraph(offset, frozenset(arcs))
+    return Digraph(offset, arcs)
 
 
 # --- named families -------------------------------------------------------
@@ -243,28 +271,28 @@ def path(n: int) -> Digraph:
     """Directed path v_0 -> v_1 -> ... -> v_{n-1}."""
     if type(n) is not int or n < 1:
         raise DigraphError(f"path({n!r})")
-    return Digraph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return Digraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Digraph:
     """Directed cycle v_0 -> v_1 -> ... -> v_{n-1} -> v_0."""
     if type(n) is not int or n < 3:
         raise DigraphError(f"cycle({n!r}): length must be at least 3")
-    return Digraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def acyclic_tournament(n: int) -> Digraph:
     """Transitive tournament in which higher-indexed vertices beat lower."""
     if type(n) is not int or n < 1:
         raise DigraphError(f"acyclic_tournament({n!r})")
-    return Digraph(n, frozenset((j, i) for j in range(n) for i in range(j)))
+    return Digraph(n, [(j, i) for j in range(n) for i in range(j)])
 
 
 def single_arc(n: int) -> Digraph:
     """One arc 0 -> 1 plus n - 2 isolated vertices."""
     if type(n) is not int or n < 2:
         raise DigraphError(f"single_arc({n!r}): needs at least 2 vertices")
-    return Digraph(n, frozenset({(0, 1)}))
+    return Digraph(n, [(0, 1)])
 
 
 def subset_family(r: int, d: int) -> Digraph:
@@ -282,7 +310,7 @@ def subset_family(r: int, d: int) -> Digraph:
         for i in S:
             arcs.add((i - 1, r + j))
     n = r + sum(1 for _ in itertools.combinations(range(r), d + 1))
-    return Digraph(n, frozenset(arcs))
+    return Digraph(n, arcs)
 
 
 # Name (as spelled by `majdim gen`) -> (generator, parameter count).

@@ -81,7 +81,7 @@ def majority_digraph(R: Profile) -> Digraph:
     w, rows = margin_lanes(list(zip(*R.voters)))
     guard, gt, _ = lane_signs(R.alternatives, d, w)
     arcs = [(a, bit // w) for a, row in enumerate(rows) for bit in bits(row + gt & guard)]
-    return Digraph(R.alternatives, frozenset(arcs))
+    return Digraph(R.alternatives, arcs)
 
 
 def majority_margins(R: Profile) -> list[list[int]]:

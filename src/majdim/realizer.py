@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -68,13 +69,18 @@ class Realizer:
         if self.d > sys.maxsize:
             raise RealizerError(f"dimension {self.d} exceeds sys.maxsize")
         vecs = {v: tuple(vec) for v, vec in self.vectors.items()}
-        for v, vec in vecs.items():
-            if type(v) is not int or any(type(c) is not int for c in vec):
-                raise RealizerError(f"vertex {v!r} has a non-integer key or coordinate: {vec!r}")
-            if len(vec) != self.d:
-                raise RealizerError(
-                    f"vertex {v} has a {len(vec)}-vector in a d={self.d} realizer"
-                )
+        # The types of the keys and coordinates and the lengths of the
+        # vectors, in one set: a valid realizer's holds only int and d.  Only
+        # a failing one is walked vertex by vertex, to name the bad vertex.
+        if not {*map(type, vecs), *map(type, chain.from_iterable(vecs.values())),
+                *map(len, vecs.values())} <= {int, self.d}:
+            for v, vec in vecs.items():
+                if type(v) is not int or any(type(c) is not int for c in vec):
+                    raise RealizerError(
+                        f"vertex {v!r} has a non-integer key or coordinate: {vec!r}")
+                if len(vec) != self.d:
+                    raise RealizerError(
+                        f"vertex {v} has a {len(vec)}-vector in a d={self.d} realizer")
         object.__setattr__(self, "vectors", vecs)
 
     def vertex_vectors(self, n: int) -> list[tuple[int, ...]]:
@@ -179,6 +185,8 @@ def verify(D: Digraph, f: Realizer) -> VerifyReport:
         pos = row + gt & guard
         neg = row + ge & guard ^ guard
         bad = (pos ^ win[u] | neg ^ loss[u]) >> (u + 1) * w
+        if not bad:
+            continue
         for bit in bits(bad):
             v = u + 1 + bit // w
             expected = "u>v" if D.out[u] >> v & 1 else "v>u" if D.into[u] >> v & 1 else "tie"

@@ -114,9 +114,10 @@ so its cap never reads as this search running out.  A level whose space
 fails `_space_fits`, being too large to build, is not searched and gets
 the same budget-exceeded verdict after 0 nodes.  All entry points are
 pure functions and may be called concurrently: the caches of spaces,
-masks and per-digraph plans only hold values that depend on their keys
-alone, so a race builds one twice, never differently, and no answer
-depends on the calls before it.
+masks and per-digraph plans, and the lazy attributes (`digraph.lazy`) of
+digraphs and plans, only hold values that depend on their keys or their
+instance alone, so a race on one builds or computes it twice, never
+differently, and no answer depends on the calls before it.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .digraph import Digraph, bits, induced_two_paths
+from .digraph import Digraph, bits, induced_two_paths, lazy
 from .realizer import Realizer, verified
 
 DEFAULT_BUDGET = 10_000_000
@@ -262,6 +263,9 @@ class _Space:
         self._tight_fields: dict[int, int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
         self._permutations: dict[int, int] = {}
+        # Every column pair tied, and the root's candidates under that.
+        self.tied = (1 << max(d - 1, 0)) - 1
+        self.roots = self.mask(self.tied, 0, self.top)
 
     def row(self, c: int) -> tuple[int, ...]:
         """Relation row of vectors[c], indexed by a need value s.
@@ -390,21 +394,27 @@ def _first_orbit(D: Digraph, first: int) -> tuple[int, ...]:
     Each w with first's out- and in-degree gets one run of the induced
     subdigraph matcher from D to itself with first pinned to w, capped at
     n^2 matcher nodes; an automorphism keeps every degree, so a w with
-    other degrees is no image.  A copy of D on all its n vertices is an
-    automorphism s, and s, s^2, ... carry first around its whole cycle of
-    s, so that cycle joins the orbit at once.  A run the cap cuts short
-    leaves w out: the orbit rule needs every vertex kept to be an image,
-    not every image kept.
+    other degrees is no image.  The matcher is set up once, with first
+    placed first, and each run only names its image.  A copy of D on all
+    its n vertices is an automorphism s, and s, s^2, ... carry first
+    around its whole cycle of s, so that cycle joins the orbit at once.  A
+    run the cap cuts short leaves w out: the orbit rule needs every vertex
+    kept to be an image, not every image kept.
     """
-    from .deciders import induced_copy
+    n, out, into = D.n, D.out, D.into
+    degree = out[first].bit_count(), into[first].bit_count()
+    images = [w for w in range(n)
+              if w != first and (out[w].bit_count(), into[w].bit_count()) == degree]
+    if not images:
+        return ()
+    from .deciders import induced_copies
 
-    n = D.n
-    degree = [(o.bit_count(), i.bit_count()) for o, i in zip(D.out, D.into)]
+    find = induced_copies(D, D, first)
     orbit: set[int] = set()
-    for w in range(n):
-        if w == first or w in orbit or degree[w] != degree[first]:
+    for w in images:
+        if w in orbit:
             continue
-        sigma, _, _ = induced_copy(D, D, n * n, pin=(first, w))
+        sigma, _, _ = find(n * n, w)
         if sigma is not None:
             while w != first:
                 orbit.add(w)
@@ -418,24 +428,24 @@ class _Plan:
     weight[v] is 1 + degree(v), order the vertices in (-degree, v) order
     and need[u][w] the required sign of margin(w, u), +-2 on the arcs of
     induced two-paths (the d = 3 rule).  orbit is the vertex set O of the
-    orbit rule, built on first use.
+    orbit rule, built on first read.
     """
 
     def __init__(self, D: Digraph):
         n = D.n
         self.D = D
-        self.weight = [1 + (out | into).bit_count() for out, into in zip(D.out, D.into)]
-        self.order = sorted(range(n), key=lambda v: (-self.weight[v], v))
-        self.need = [[0] * n for _ in range(n)]
+        self.weight = weight = [1 + (out | into).bit_count() for out, into in zip(D.out, D.into)]
+        # A stable sort keeps equal weights in vertex order, reversed or not.
+        self.order = sorted(range(n), key=weight.__getitem__, reverse=True)
+        self.need = need = [[0] * n for _ in range(n)]
         for u, v in D.arcs:
-            self.need[v][u] = 1
-            self.need[u][v] = -1
+            need[v][u] = 1
+            need[u][v] = -1
         for x, y, z in induced_two_paths(D):
-            for u, v in ((x, y), (y, z)):
-                self.need[v][u] = 2
-                self.need[u][v] = -2
+            need[y][x] = need[z][y] = 2
+            need[x][y] = need[y][z] = -2
 
-    @cached_property
+    @lazy
     def orbit(self) -> tuple[int, ...]:
         return _first_orbit(self.D, self.order[0])
 
@@ -512,8 +522,7 @@ def is_realizable(D: Digraph, d: int, budget: int = DEFAULT_BUDGET) -> SolveOutc
     # keys holds the vectors that permute no earlier candidate; the first
     # one, (1, ..., 1), is its own permutation class.
     first, rest = order[0], order[1:]
-    pattern = (1 << max(d - 1, 0)) - 1
-    cand = mask(pattern, 0, space.top)
+    pattern, cand = space.tied, space.roots
     unbounded = [space.full] * n
     keys = space.full ^ 1
     try:

@@ -870,6 +870,32 @@ def test_sweep_five_dedup(capsys):
     assert _digest(code, out) == SWEEP_DIGESTS["sweep 5 --dedup"]
 
 
+# sha256 over one line per search of a walk: the searched digraph's arc
+# code, then d, verdict and nodes at every level.  The output digests
+# above carry no node counts.
+SEARCH_DIGESTS = {
+    (4, False): "cabdd50a7e22daa10f91808617d97b59b8a8f77f66d17f8920fa77e0d6be3567",
+    (5, True): "0a219531fbbf17b1a48deb8ce9f338544a72f022f0dfa39d1b6530314dfb4624",
+}
+
+
+@pytest.mark.parametrize("n, dedup", SEARCH_DIGESTS)
+def test_sweep_searches_are_pinned(monkeypatch, n, dedup):
+    lines = []
+    real_dimension = solver.dimension
+
+    def recording_dimension(D, **kwargs):
+        result = real_dimension(D, **kwargs)
+        levels = " ".join(f"{d}:{o.verdict.value}:{o.nodes_explored}" for d, o in result.per_d)
+        lines.append(f"{_code(D)} {levels}\n")
+        return result
+
+    monkeypatch.setattr(solver, "dimension", recording_dimension)
+    _sweep_rows(n, dedup, solver.DEFAULT_BUDGET, None)
+    assert len(lines) == {4: 30, 5: 342}[n]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SEARCH_DIGESTS[n, dedup]
+
+
 def test_rules_agree_with_search_on_every_five_vertex_class():
     # Sweep rows come from the search alone; `dimension` with its rules must
     # give every class the same verdict at every level.

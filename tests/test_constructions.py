@@ -108,6 +108,15 @@ def test_add_arc_rejects_adjacent_endpoints():
         add_arc_realizer(path(3), f, (1, 1))
 
 
+@pytest.mark.parametrize("arc", [(True, 0), (1.0, 0), (1, False)])
+def test_add_arc_rejects_an_arc_equal_to_a_base_arc_only_by_coercion(arc):
+    # (True, 0) == (1, 0): the new arc must fail as a non-integer endpoint,
+    # not merge into the base arc and read as "already an arc".
+    base = build(2, [(1, 0)])
+    with pytest.raises(DigraphError, match="has a non-integer endpoint$"):
+        add_arc_realizer(base, Realizer(1, {0: (1,), 1: (2,)}), arc)
+
+
 def test_add_arc_rejects_bad_base():
     junk = Realizer(1, {0: (1,), 1: (1,), 2: (1,)})
     with pytest.raises(ConstructionError,

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +29,8 @@ from majdim import (
     to_dot,
     to_edge_list,
 )
-from majdim.digraph import FAMILIES, parse_int
+from majdim import digraph
+from majdim.digraph import FAMILIES, _neighbour_rows, parse_int
 from helpers import (
     all_labeled_digraphs,
     naive_condense,
@@ -74,6 +77,16 @@ def test_non_integer_endpoints_rejected(arc):
         build(3, [arc])
 
 
+@pytest.mark.parametrize("arcs", [[(1, 0), (True, 0)], [(0, 1), (0.0, 1)], [(0, 1), (0, True)]])
+def test_arc_equal_to_an_earlier_one_only_by_coercion_is_rejected(arcs):
+    # Each arc is checked before it enters the set, so the second one is
+    # not merged into the first as an equal, hashed-alike element.
+    with pytest.raises(DigraphError, match="has a non-integer endpoint$"):
+        Digraph(3, arcs)
+    with pytest.raises(DigraphError, match="has a non-integer endpoint$"):
+        build(3, arcs)
+
+
 @pytest.mark.parametrize("arc", [(0, 1, 2), (0,), (), 5, None])
 def test_arcs_that_are_not_pairs_rejected(arc):
     with pytest.raises(DigraphError, match="not a pair"):
@@ -86,6 +99,54 @@ def test_arcs_that_are_not_pairs_rejected(arc):
 def test_non_integer_vertex_count_rejected(n):
     with pytest.raises(DigraphError, match="^vertex count must be a nonnegative integer, got "):
         Digraph(n, frozenset())
+
+
+def test_neighbour_rows_are_computed_once_per_digraph(monkeypatch):
+    calls = []
+
+    def counting_rows(n, arcs):
+        calls.append(n)
+        return _neighbour_rows(n, arcs)
+
+    monkeypatch.setattr(digraph, "_neighbour_rows", counting_rows)
+    D = build(3, [(0, 1), (1, 2)])
+    assert calls == []
+    assert D.out is D.out and D.into is D.into
+    assert (D.out, D.into) == ((0b010, 0b100, 0), (0, 0b001, 0b010))
+    assert calls == [3, 3]
+    # An equal digraph keeps rows of its own.
+    assert build(3, [(0, 1), (1, 2)]).out == D.out and calls == [3, 3, 3]
+
+
+def test_neighbour_rows_read_by_threads_at_once_are_equal():
+    # Racing first reads may each compute a row tuple, never a different one.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(3, 40):
+            D = cycle(n)
+            start = threading.Barrier(4)
+            seen = []
+
+            def read():
+                start.wait()
+                seen.append((D.out, D.into))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [(D.out, D.into)] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_huge_arcless_digraph_builds_no_rows():
+    D = empty(10**9)
+    assert D.arcs == frozenset()
+    assert "out" not in D.__dict__ and "into" not in D.__dict__
 
 
 def small_and_random_digraphs():

@@ -37,10 +37,10 @@ from majdim import (
     subset_family,
     verify,
 )
-from majdim import deciders
+from majdim import deciders, solver
 from majdim.deciders import _obstructions, induced_copy
 from majdim.digraph import bits
-from majdim.solver import _first_orbit, _plan, _Space, _space_fits, _space_for
+from majdim.solver import _first_orbit, _plan, _Plan, _Space, _space_fits, _space_for
 from helpers import (
     all_labeled_digraphs,
     brute_canonical_code,
@@ -154,12 +154,18 @@ def test_orbit_matcher_running_out_is_not_the_search_running_out(monkeypatch):
     # every matcher run capped at one node, each run is cut short and the
     # orbit stays empty, yet the search still exhausts its tree.
     runs = []
+    real_copies = deciders.induced_copies
 
-    def capped(P, D, budget, pin=None):
-        runs.append(induced_copy(P, D, 1, pin=pin))
-        return runs[-1]
+    def capped(P, D, first=None):
+        find = real_copies(P, D, first)
 
-    monkeypatch.setattr(deciders, "induced_copy", capped)
+        def capped_find(budget, target=None):
+            runs.append(find(1, target))
+            return runs[-1]
+
+        return capped_find
+
+    monkeypatch.setattr(deciders, "induced_copies", capped)
     _plan.cache_clear()
     try:
         out = is_realizable(cycle(5), 3)
@@ -502,6 +508,45 @@ def test_space_rows_match_naive_margins(nranks, d):
                 sign = (need > 0) - (need < 0)
                 expected = (m > 0) - (m < 0) == sign and (abs(need) < 2 or apart)
                 assert row[need] >> x & 1 == expected, (vx, vc, need)
+
+
+def test_plan_orbit_is_computed_once_per_plan(monkeypatch):
+    calls = []
+
+    def counting_orbit(D, first):
+        calls.append(first)
+        return _first_orbit(D, first)
+
+    monkeypatch.setattr(solver, "_first_orbit", counting_orbit)
+    plan = _Plan(cycle(5))
+    assert calls == []
+    assert plan.orbit is plan.orbit
+    assert plan.orbit == (1, 2, 3, 4) and calls == [0]
+
+
+def test_plan_orbit_read_by_threads_at_once_is_equal():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for D in [cycle(6), disjoint_union([cycle(4)] * 2), cyclic_tournament(7),
+                  subset_family(4, 1)]:
+            plan = _Plan(D)
+            start = threading.Barrier(4)
+            seen = []
+
+            def read():
+                start.wait()
+                seen.append(plan.orbit)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [_first_orbit(D, plan.order[0])] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_plan_need_is_the_naive_constraint_table():
